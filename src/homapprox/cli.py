@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import approx as ap
+from . import expr as ex
 from . import report as rp
 from . import verify as vf
-from .expr import ExprSyntaxError
 from .series import ControlSystem, EquilibriumError
 
 EXIT_OK = 0
@@ -87,8 +87,6 @@ def parse_system_file(text: str) -> ControlSystem:
     extra = set(entries) - {f"{p}{i}" for p in "ab" for i in range(1, n + 1)}
     if extra:
         raise InputError(f"components out of range for n={n}: {sorted(extra)}")
-    from . import expr as ex
-
     parsed = {}
     for prefix in "ab":
         for i in range(1, n + 1):
@@ -98,7 +96,9 @@ def parse_system_file(text: str) -> ControlSystem:
             lineno, value = entries[key]
             try:
                 parsed[key] = ex.simplify(ex.parse_expr(value, n))
-            except ExprSyntaxError as err:
+                # the series needs every component defined at the origin
+                ex.eval_at_origin(parsed[key])
+            except (ex.ExprSyntaxError, ex.EvalError) as err:
                 raise InputError(f"line {lineno}, {key}: {err}")
     return ControlSystem(
         n,
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
 
     try:
         system = parse_system_file(text)
-    except (InputError, ExprSyntaxError, EquilibriumError, ValueError) as err:
+    except (InputError, ex.ExprSyntaxError, EquilibriumError, ValueError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
 
@@ -201,19 +201,14 @@ def main(argv=None) -> int:
         result = ap.approximate(
             system, max_order=config.max_order, cache_dir=config.cache_dir
         )
-    except EquilibriumError as err:
+        ap.check_self_consistency(result)
+    except (EquilibriumError, ex.EvalError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
     except ap.NotAccessibleError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_NOT_ACCESSIBLE
     except (ap.InternalConsistencyError, ap.NotRepresentableError) as err:
-        print(f"internal error: {err}", file=_sys.stderr)
-        return EXIT_INTERNAL
-
-    try:
-        ap.check_self_consistency(result)
-    except ap.InternalConsistencyError as err:
         print(f"internal error: {err}", file=_sys.stderr)
         return EXIT_INTERNAL
 

@@ -5,8 +5,9 @@ The coefficient attached to the word (m1, ..., mk) is
     v = ((-1)^k / (m1! ... mk!)) ad_{R_a}^{m1} R_b ... ad_{R_a}^{mk} R_b E
 
 evaluated at t = 0, x = 0 and applied to the identity map E, where
-R_a f = f_t + f_x a and R_b f = f_x b.  Operator stacks are memoized by
-(ad power, suffix word, R_a power), never by expression trees.
+R_a f = f_t + f_x a and R_b f = f_x b.  The operators act on truncated
+Taylor jets at the origin (Griewank & Walther, Evaluating Derivatives,
+2nd ed. 2008), which keeps every coefficient exact: see SeriesComputer.
 """
 from __future__ import annotations
 
@@ -86,26 +87,176 @@ def validate_equilibrium(sys: ControlSystem) -> None:
                 )
 
 
-def apply_R_a(sys: ControlSystem, fs) -> tuple:
-    """Componentwise f_t + f_x a."""
-    out = []
-    for f in fs:
-        terms = [ex.differentiate(f, 0)]
-        for j in range(1, sys.n + 1):
-            terms.append(ex.mk_prod((ex.differentiate(f, j), sys.a[j - 1])))
-        out.append(ex.mk_sum(terms))
-    return tuple(out)
+def _int_if_integral(c: Fraction):
+    # integer coefficients stay Python ints, which multiply much faster
+    return c.numerator if c.denominator == 1 else c
 
 
-def apply_R_b(sys: ControlSystem, fs) -> tuple:
-    """Componentwise f_x b."""
+def _nonzero(jet: dict) -> dict:
+    return {k: c for k, c in jet.items() if c}
+
+
+def _sub(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, 0) - c
+    return _nonzero(out)
+
+
+def _series_coeffs(name: str, D: int) -> list:
+    """Taylor coefficients of sin, cos or exp at 0, up to degree D."""
     out = []
-    for f in fs:
-        terms = []
-        for j in range(1, sys.n + 1):
-            terms.append(ex.mk_prod((ex.differentiate(f, j), sys.b[j - 1])))
-        out.append(ex.mk_sum(terms))
-    return tuple(out)
+    for k in range(D + 1):
+        c = Fraction(1, math.factorial(k))
+        if name == "exp":
+            out.append(c)
+        elif k % 2 != (name == "sin"):  # sin is odd, cos is even
+            out.append(0)
+        else:
+            out.append(c if k % 4 < 2 else -c)
+    return out
+
+
+class JetSystem:
+    """A control system as Taylor jets at the origin, truncated at total
+    degree D in (t, x1..xn).
+
+    A jet is a dict from packed monomials to nonzero rational
+    coefficients.  The monomial t^e0 x1^e1 ... xn^en of total degree d
+    packs into d*B^(n+1) + sum_i e_i*B^i with B = D + 1.  Monomials of
+    total degree <= D multiply by adding their keys, without carries;
+    keys sort by total degree first; and a product has degree > L
+    exactly when its key is >= (L + 1)*B^(n+1).
+
+    R_a and R_b are the operators' coefficient vectors on (d_t, d_x1,
+    .., d_xn): (1, a_1, .., a_n) and (0, b_1, .., b_n), each a jet as a
+    sorted item list.
+    """
+
+    def __init__(self, sys: ControlSystem, D: int):
+        self.D = D
+        self._base = D + 1
+        self._unit = tuple(self._base**i for i in range(sys.n + 1))
+        self._degree_unit = self._base ** (sys.n + 1)
+        self.identity = tuple(self.expand(ex.Var(i)) for i in range(1, sys.n + 1))
+        self.R_a = ([(0, 1)],) + tuple(self._items(f) for f in sys.a)
+        self.R_b = ([],) + tuple(self._items(f) for f in sys.b)
+
+    def _items(self, e: ex.Expr) -> list:
+        return sorted(self.expand(e).items())
+
+    def _limit(self, degree: int) -> int:
+        # smallest key of total degree > degree
+        return (degree + 1) * self._degree_unit
+
+    def _mul(self, f: dict, g: list, degree: int) -> dict:
+        """f*g truncated at total degree `degree`; g is a sorted item list."""
+        limit = self._limit(degree)
+        out = {}
+        for k1, c1 in f.items():
+            room = limit - k1
+            for k2, c2 in g:
+                if k2 >= room:
+                    break
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        return _nonzero(out)
+
+    def _compose(self, arg: dict, coeffs: list) -> dict:
+        """sum_k coeffs[k]*r^k for r = arg minus its constant term, by Horner."""
+        r = sorted((k, c) for k, c in arg.items() if k)
+        out = {}
+        for c in reversed(coeffs):
+            out = self._mul(out, r, self.D)
+            if c:
+                out[0] = c
+        return out
+
+    def expand(self, e: ex.Expr) -> dict:
+        """Jet of an expression, exact up to total degree D.
+
+        Like `ex.eval_at_origin`, raises ex.DivisionByZeroError for a
+        denominator that vanishes at the origin and
+        ex.NonzeroTranscendentalError for sin/cos/exp of an argument that
+        does not.
+        """
+        if isinstance(e, ex.Const):
+            c = _int_if_integral(e.value)
+            return {0: c} if c else {}
+        if isinstance(e, ex.Var):
+            return {self._degree_unit + self._unit[e.index]: 1} if self.D else {}
+        if isinstance(e, ex.Sum):
+            out = {}
+            for term in e.terms:
+                for k, c in self.expand(term).items():
+                    out[k] = out.get(k, 0) + c
+            return _nonzero(out)
+        if isinstance(e, ex.Neg):
+            return {k: -c for k, c in self.expand(e.arg).items()}
+        if isinstance(e, (ex.Prod, ex.Pow)):
+            if isinstance(e, ex.Prod):
+                factors = [self._items(f) for f in e.factors]
+            else:
+                factors = [self._items(e.base)] * e.exponent
+            out = {0: 1}
+            for g in factors:
+                out = self._mul(out, g, self.D)
+            return out
+        if isinstance(e, ex.Quot):
+            den = self.expand(e.den)
+            d0 = den.get(0, 0)
+            if d0 == 0:
+                raise ex.DivisionByZeroError("division by zero at the origin")
+            # 1/(d0 + r) = sum_k (-r)^k / d0^(k+1)
+            inverse = [Fraction(-1) ** k / d0 ** (k + 1) for k in range(self.D + 1)]
+            return self._mul(
+                self.expand(e.num), sorted(self._compose(den, inverse).items()), self.D
+            )
+        if isinstance(e, ex.Func):
+            arg = self.expand(e.arg)
+            a0 = arg.get(0, 0)
+            if a0:
+                raise ex.NonzeroTranscendentalError(
+                    f"{e.name}({a0}) has no exact rational value"
+                )
+            return self._compose(arg, _series_coeffs(e.name, self.D))
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def apply(self, op: tuple, fs, degree: int) -> tuple:
+        """Componentwise sum_i d_i f * op_i, truncated at total degree `degree`."""
+        limit = self._limit(degree)
+        base = self._base
+        out = []
+        for f in fs:
+            acc = {}
+            for unit, g in zip(self._unit, op):
+                if not g:
+                    continue
+                step = unit + self._degree_unit
+                for k, c in f.items():
+                    e = k // unit % base
+                    if not e:
+                        continue
+                    k1 = k - step
+                    c1 = c * e
+                    room = limit - k1
+                    for k2, c2 in g:
+                        if k2 >= room:
+                            break
+                        key = k1 + k2
+                        acc[key] = acc.get(key, 0) + c1 * c2
+            out.append(_nonzero(acc))
+        return tuple(out)
+
+
+def apply_R_a(jets: JetSystem, fs, degree: int) -> tuple:
+    """Componentwise f_t + f_x a, truncated at total degree `degree`."""
+    return jets.apply(jets.R_a, fs, degree)
+
+
+def apply_R_b(jets: JetSystem, fs, degree: int) -> tuple:
+    """Componentwise f_x b, truncated at total degree `degree`."""
+    return jets.apply(jets.R_b, fs, degree)
 
 
 @dataclass
@@ -146,16 +297,35 @@ class SeriesTable:
 
 
 class SeriesComputer:
-    """Evaluates moment coefficients with shared operator-stack memos, so
-    extending the order reuses all previous work."""
+    """Evaluates moment coefficients on Taylor jets of the system.
+
+    A word of order m applies m first-order operators, each lowering the
+    total degree of any term by at most one, so terms above degree m
+    never reach the value at the origin: jets truncated at degree D give
+    every word of order <= D exactly, and a stack that has applied k
+    operators is kept only up to degree D - k.  Operator stacks are
+    memoized by (ad power, suffix word, R_a power).  Asking for an order
+    above D rebuilds the jets at that order and drops the memos, whose
+    truncation no longer fits; the exact moment vectors are kept.
+    `table_up_to` drops the memos when it returns.
+    """
 
     def __init__(self, sys: ControlSystem):
         validate_equilibrium(sys)
         self.sys = sys
-        identity = tuple(ex.Var(i) for i in range(1, sys.n + 1))
-        self._ra_powers: dict = {((), 0): identity}
-        self._ad: dict = {}
+        self._jets = None
         self._vectors: dict = {}
+        self._release_memos()
+
+    def _release_memos(self) -> None:
+        self._ra_powers: dict = {}
+        self._ad: dict = {}
+
+    def _reach(self, order: int) -> None:
+        """Make the jets exact for every word of order <= `order`."""
+        if self._jets is None or self._jets.D < order:
+            self._jets = JetSystem(self.sys, order)
+            self._release_memos()
 
     def _ra(self, w: Word, p: int) -> tuple:
         key = (w, p)
@@ -164,14 +334,15 @@ class SeriesComputer:
             if p == 0:
                 got = self._stack(w)
             else:
-                got = apply_R_a(self.sys, self._ra(w, p - 1))
+                degree = self._jets.D - word_order(w) - p
+                got = apply_R_a(self._jets, self._ra(w, p - 1), degree)
             self._ra_powers[key] = got
         return got
 
     def _stack(self, w: Word) -> tuple:
         # operator stack of the whole suffix word applied to the identity
         if not w:
-            return self._ra_powers[((), 0)]
+            return self._jets.identity
         return self._ad_vec(w[0], w[1:], 0)
 
     def _ad_vec(self, j: int, w: Word, p: int) -> tuple:
@@ -180,14 +351,13 @@ class SeriesComputer:
         got = self._ad.get(key)
         if got is not None:
             return got
+        degree = self._jets.D - word_order(w) - p - j - 1
         if j == 0:
-            got = apply_R_b(self.sys, self._ra(w, p))
+            got = apply_R_b(self._jets, self._ra(w, p), degree)
         else:
-            left = apply_R_a(self.sys, self._ad_vec(j - 1, w, p))
+            left = apply_R_a(self._jets, self._ad_vec(j - 1, w, p), degree)
             right = self._ad_vec(j - 1, w, p + 1)
-            got = tuple(
-                ex.mk_sum((l, ex.mk_neg(r))) for l, r in zip(left, right)
-            )
+            got = tuple(_sub(l, r) for l, r in zip(left, right))
         self._ad[key] = got
         return got
 
@@ -198,22 +368,24 @@ class SeriesComputer:
         got = self._vectors.get(w)
         if got is not None:
             return got
-        exprs = self._stack(w)
+        self._reach(word_order(w))
         denom = 1
         for m in w:
             denom *= math.factorial(m)
         scale = Fraction((-1) ** len(w), denom)
-        vec = tuple(scale * ex.eval_at_origin(f) for f in exprs)
+        vec = tuple(scale * f.get(0, 0) for f in self._stack(w))
         self._vectors[w] = vec
         return vec
 
     def table_up_to(self, N: int) -> SeriesTable:
+        self._reach(N)
         coeffs = {}
         for m in range(1, N + 1):
             for w in enumerate_basis(m):
                 vec = self.moment_vector(w)
                 if any(c != 0 for c in vec):
                     coeffs[w] = vec
+        self._release_memos()
         return SeriesTable(self.sys.n, N, coeffs)
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from homapprox import cli
+from homapprox import expr as ex
 from homapprox.algebra import AlgElem
 from homapprox.cli import (
     EXIT_INPUT,
@@ -22,6 +24,7 @@ from homapprox.report import (
     polynomial_latex,
     polynomial_str,
 )
+from homapprox.series import ControlSystem
 
 EX1 = """\
 # worked three-dimensional example
@@ -142,6 +145,33 @@ def test_main_equilibrium_violation(tmp_path, capsys):
     code = main(["--input", str(p)])
     assert code == EXIT_INPUT
     assert "equilibrium" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "b1, message",
+    [("1/x1", "division by zero"), ("sin(1+x1)", "sin(1) has no exact rational value")],
+)
+def test_main_component_undefined_at_origin(tmp_path, b1, message):
+    p = tmp_path / "undefined.txt"
+    p.write_text(f"n = 1\na1 = 0\nb1 = {b1}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "homapprox.cli", "--input", str(p)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert f"line 3, b1: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_maps_evaluation_errors_past_the_parser(tmp_path, capsys, monkeypatch):
+    # a system built without the parser's check still ends in exit 2
+    undefined = ControlSystem(1, (ex.ZERO,), (ex.Quot(ex.ONE, ex.Var(1)),))
+    monkeypatch.setattr(cli, "parse_system_file", lambda text: undefined)
+    p = tmp_path / "any.txt"
+    p.write_text("n = 1\n")
+    assert main(["--input", str(p)]) == EXIT_INPUT
+    assert "division by zero" in capsys.readouterr().err
 
 
 def test_main_not_accessible(tmp_path, capsys):

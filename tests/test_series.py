@@ -8,6 +8,7 @@ from homapprox.lie import build_lie_basis, expand_right_normed
 from homapprox.series import (
     ControlSystem,
     EquilibriumError,
+    JetSystem,
     SeriesComputer,
     apply_R_a,
     apply_R_b,
@@ -53,20 +54,22 @@ def test_render_mentions_every_state(sys3):
 
 def test_operators_on_simple_functions(sys_scalar):
     # a = 0, b = 1: R_a only differentiates in t, R_b is d/dx1
-    f = (ex.parse_expr("t^2*x1", 1),)
-    ra = apply_R_a(sys_scalar, f)
-    assert ra[0] == ex.simplify(ex.parse_expr("2*t*x1", 1))
-    rb = apply_R_b(sys_scalar, f)
-    assert rb[0] == ex.simplify(ex.parse_expr("t^2", 1))
+    jets = JetSystem(sys_scalar, 3)
+    f = (jets.expand(ex.parse_expr("t^2*x1", 1)),)
+    ra = apply_R_a(jets, f, 2)
+    assert ra[0] == jets.expand(ex.parse_expr("2*t*x1", 1))
+    rb = apply_R_b(jets, f, 2)
+    assert rb[0] == jets.expand(ex.parse_expr("t^2", 1))
 
 
 def test_operators_use_drift(sys3):
-    # R_a x3 = (x3)_t + (x3)_x a = a3
-    f = tuple(ex.Var(i) for i in (3,))
-    ra = apply_R_a(sys3, f)
-    assert ra[0] == ex.simplify(ex.parse_expr("2*x1^2*sin(t)", 3))
-    rb = apply_R_b(sys3, f)
-    assert rb[0] == ex.simplify(ex.parse_expr("-x2", 3))
+    # R_a x3 = (x3)_t + (x3)_x a = a3, here up to total degree 4
+    jets = JetSystem(sys3, 4)
+    f = (jets.expand(ex.Var(3)),)
+    ra = apply_R_a(jets, f, 4)
+    assert ra[0] == jets.expand(ex.parse_expr("2*x1^2*sin(t)", 3))
+    rb = apply_R_b(jets, f, 4)
+    assert rb[0] == jets.expand(ex.parse_expr("-x2", 3))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +148,44 @@ def test_control_scaling_scales_by_word_length():
     for w in words:
         k = len(w)
         assert t2.v(w) == tuple(F(3) ** k * c for c in t1.v(w)), w
+
+
+def test_table_after_smaller_table_matches_fresh_computer(sys3_drift):
+    # growing N rebuilds the jets at the larger truncation degree
+    comp = SeriesComputer(sys3_drift)
+    comp.table_up_to(3)
+    assert comp.table_up_to(5) == SeriesComputer(sys3_drift).table_up_to(5)
+
+
+def test_word_above_table_order_matches_fresh_computer(sys3):
+    comp = SeriesComputer(sys3)
+    comp.table_up_to(3)
+    for w in ((0, 0, 0, 1), (0, 0, 0, 0, 0), (2, 1)):  # order 5 = N + 2
+        assert comp.moment_vector(w) == SeriesComputer(sys3).moment_vector(w), w
+
+
+def test_words_of_rising_order_match_table(sys3):
+    # the self-check's pattern: no table, so each new order rebuilds the
+    # jets while the operator memos of the lower orders are still held
+    comp = SeriesComputer(sys3)
+    table = SeriesComputer(sys3).table_up_to(5)
+    for m in range(1, 6):
+        for w in enumerate_basis(m):
+            assert comp.moment_vector(w) == table.v(w), w
+
+
+@pytest.mark.parametrize(
+    "b1, error",
+    [
+        ("1/x1", ex.DivisionByZeroError),
+        ("sin(1+x1)", ex.NonzeroTranscendentalError),
+        ("exp(t - 2)", ex.NonzeroTranscendentalError),
+    ],
+)
+def test_jets_reject_components_undefined_at_origin(b1, error):
+    sys = system_from_strings(1, ["0"], [b1])
+    with pytest.raises(error):
+        series_up_to(sys, 2)
 
 
 def test_json_encoding(sys_scalar):
