@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import expr as ex
 from .algebra import (
@@ -24,6 +25,7 @@ from .algebra import (
     phi,
     psi,
     shuffle,
+    shuffle_power,
     vectorize,
 )
 from .lie import build_lie_basis
@@ -126,6 +128,20 @@ class NoAutonomousApproximation:
 Monomial = tuple  # (t_power, (x1_power, ..., xn_power))
 
 
+def polynomial_expr(comp: dict) -> ex.Expr:
+    """Expr of a monomial -> coefficient map, monomials ascending."""
+    terms = []
+    for (t_pow, x_pows), c in sorted(comp.items()):
+        factors = [ex.Const(c)]
+        if t_pow:
+            factors.append(ex.mk_pow(ex.T, t_pow))
+        for j, q in enumerate(x_pows):
+            if q:
+                factors.append(ex.mk_pow(ex.Var(j + 1), q))
+        terms.append(ex.mk_prod(factors))
+    return ex.mk_sum(terms)
+
+
 @dataclass
 class PolynomialSystem:
     """dx_i/dt = a_i(t,x) + b_i(t,x) u with polynomial components stored
@@ -143,21 +159,9 @@ class PolynomialSystem:
                     return False
         return True
 
-    def component_expr(self, comp: dict) -> ex.Expr:
-        terms = []
-        for (t_pow, x_pows), c in sorted(comp.items()):
-            factors = [ex.Const(c)]
-            if t_pow:
-                factors.append(ex.mk_pow(ex.T, t_pow))
-            for j, q in enumerate(x_pows):
-                if q:
-                    factors.append(ex.mk_pow(ex.Var(j + 1), q))
-            terms.append(ex.mk_prod(factors))
-        return ex.mk_sum(terms)
-
     def to_control_system(self) -> ControlSystem:
-        a = tuple(self.component_expr(c) for c in self.a)
-        b = tuple(self.component_expr(c) for c in self.b)
+        a = tuple(polynomial_expr(c) for c in self.a)
+        b = tuple(polynomial_expr(c) for c in self.b)
         return ControlSystem(self.n, a, b)
 
 
@@ -228,7 +232,9 @@ def select_core(table: SeriesTable, basis: list, n: int) -> CoreDecomposition:
 def build_ideal_blocks(core: CoreDecomposition) -> dict:
     """Graded blocks of the right ideal generated by the d's, at each
     core order: rows d_j (order m) and d_j xi_s (order(s) = m - order(d_j)),
-    dependent rows discarded, earlier rows kept."""
+    dependent rows discarded, earlier rows kept.  Each block's
+    codimension must equal the number of weighted shuffle monomials of
+    its order."""
     blocks: dict = {}
     for m in sorted(set(core.weights)):
         width = len(enumerate_basis(m))
@@ -247,6 +253,12 @@ def build_ideal_blocks(core: CoreDecomposition) -> dict:
             for r in candidates:
                 if ech.add(scale_to_int(vectorize(r, m))):
                     rows.append(r)
+        expected = len(weighted_multi_indices(core.weights, m))
+        if width - ech.rank != expected:
+            raise InternalConsistencyError(
+                f"ideal block at order {m} has codimension {width - ech.rank}, "
+                f"but there are {expected} weighted shuffle monomials"
+            )
         blocks[m] = IdealBlock(m, width, rows, ech)
     return blocks
 
@@ -307,14 +319,6 @@ def weighted_multi_indices(weights, degree: int) -> list:
     return out
 
 
-def shuffle_monomial(generators, q) -> AlgElem:
-    acc = AlgElem.scalar(1)
-    for gen, power in zip(generators, q):
-        for _ in range(power):
-            acc = shuffle(acc, gen)
-    return acc
-
-
 def express_as_shuffle_poly(
     target: AlgElem, generators: list, weights, degree: int
 ) -> ShufflePolynomial:
@@ -336,7 +340,11 @@ def express_as_shuffle_poly(
             return ShufflePolynomial(weights, degree, {})
         raise NotRepresentableError(target, degree)
     columns = [
-        vectorize(shuffle_monomial(generators, q), degree) for q in qs
+        vectorize(
+            reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1)),
+            degree,
+        )
+        for q in qs
     ]
     sol = solve_particular(columns, vectorize(target, degree))
     if sol is None:

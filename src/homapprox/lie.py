@@ -4,7 +4,8 @@ Candidates at order m and length k are the right-normed brackets
 [xi_{m1},[...[xi_{m_{k-1}},xi_{m_k}]...]] of the words of that block,
 scanned in canonical order; a candidate is kept iff its expansion is
 linearly independent of the kept ones.  Per-order results are cached in
-memory and, when a cache directory is configured, as JSON on disk.
+memory and, when a cache directory is configured, as JSON on disk; a
+file on disk is used only after it is checked to hold such a basis.
 """
 from __future__ import annotations
 
@@ -93,22 +94,30 @@ def _cache_dir(explicit) -> Path | None:
     return Path(env) if env else None
 
 
-def _compute_order(m: int) -> list:
+def _independent_brackets(words, m: int) -> list:
+    """The words of order m, in the given order, whose right-normed
+    expansions are independent of those of the words kept before them.
+    Expansions of different lengths share no word, so each length is
+    reduced in its own block."""
+    blocks: dict = {}  # length -> {word of that length: column}
+    for w in enumerate_basis(m):
+        block = blocks.setdefault(len(w), {})
+        block[w] = len(block)
+    echelons = {k: IntEchelon(len(block)) for k, block in blocks.items()}
     kept = []
-    for k in range(1, m + 1):
-        block = [w for w in enumerate_basis(m) if len(w) == k]
-        if not block:
-            continue
-        index = {w: i for i, w in enumerate(block)}
-        ech = IntEchelon(len(block))
-        for w in block:
-            elem = expand_right_normed(w)
-            vec = [0] * len(block)
-            for word, c in elem.terms.items():
-                assert c.denominator == 1
-                vec[index[word]] = c.numerator
-            if ech.add(vec):
-                kept.append(w)
+    for w in words:
+        index = blocks[len(w)]
+        vec = [0] * len(index)
+        for word, c in expand_right_normed(w).terms.items():
+            assert c.denominator == 1
+            vec[index[word]] = c.numerator
+        if echelons[len(w)].add(vec):
+            kept.append(w)
+    return kept
+
+
+def _compute_order(m: int) -> list:
+    kept = _independent_brackets(enumerate_basis(m), m)
     expected = witt_dimension(m)
     if len(kept) != expected:
         raise AssertionError(
@@ -117,18 +126,46 @@ def _compute_order(m: int) -> list:
     return kept
 
 
+def _read_order(path: Path, m: int) -> list | None:
+    """Words of a cache file, or None unless it holds a basis of order m:
+    witt_dimension(m) distinct words of order m in canonical order whose
+    right-normed expansions are independent."""
+    try:
+        data = json.loads(path.read_text())
+        order, words = data["order"], [tuple(w) for w in data["words"]]
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    position = {w: i for i, w in enumerate(enumerate_basis(m))}
+    if (
+        order != m
+        or len(words) != witt_dimension(m)
+        or not all(type(c) is int for w in words for c in w)
+        or not all(w in position for w in words)
+        or [position[w] for w in words] != sorted({position[w] for w in words})
+        or _independent_brackets(words, m) != words
+    ):
+        return None
+    return words
+
+
 def _load_order(m: int, cache_dir) -> list:
+    """Kept words of order m: from memory, else from a valid cache file,
+    else computed and written to the cache directory, if there is one."""
     directory = _cache_dir(cache_dir)
     path = directory / f"lie_order_{m}.json" if directory else None
     kept = _order_cache.get(m)
-    if kept is None and path is not None and path.is_file():
-        data = json.loads(path.read_text())
-        kept = [tuple(w) for w in data["words"]]
+    write = path is not None and not path.is_file()
+    if kept is None and path is not None and not write:
+        kept = _read_order(path, m)
+        write = kept is None
     if kept is None:
         kept = _compute_order(m)
-    if path is not None and not path.is_file():
+    if write:
+        # atomic: a reader sees the old file or the whole new one
         directory.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"order": m, "words": [list(w) for w in kept]}))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps({"order": m, "words": [list(w) for w in kept]}))
+        os.replace(tmp, path)
     _order_cache[m] = kept
     return kept
 

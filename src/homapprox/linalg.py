@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
-The pipeline only ever needs three primitives: an incremental integer
-row echelon (independence filtering and null spaces), a rational RREF
-particular solve with leftmost pivots (free variables get zero), and a
-small dense rational solve for normal equations.  Everything is exact;
-integer rows are kept primitive (gcd 1) so entries stay small.
+One kernel does every elimination: `IntEchelon`, an incremental
+fraction-free row echelon over the integers whose stored rows are kept
+primitive (gcd 1), so entries stay small.  Its rows form the reduced row
+echelon form up to row scaling, and everything else reads answers off
+it: independence filtering and membership, a null space basis, and the
+exact solves (leftmost pivots, free variables zero), which eliminate the
+augmented matrix [A | b].
 """
 from __future__ import annotations
 
@@ -25,16 +27,14 @@ def primitive(row: list) -> list:
 
 
 def scale_to_int(vec) -> list:
-    """Scale a rational vector to a primitive integer vector (same line)."""
+    """Scale a rational vector (ints or Fractions) to a primitive integer
+    vector on the same line."""
     lcm = 1
     for c in vec:
-        d = Fraction(c).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    out = []
-    for c in vec:
-        c = Fraction(c)
-        out.append(int(c.numerator * (lcm // c.denominator)))
-    return primitive(out)
+        if c:
+            d = c.denominator
+            lcm = lcm * d // gcd(lcm, d)
+    return primitive([c.numerator * (lcm // c.denominator) if c else 0 for c in vec])
 
 
 def dot_int(u, v) -> int:
@@ -44,9 +44,10 @@ def dot_int(u, v) -> int:
 class IntEchelon:
     """Incremental fraction-free row reduction over the integers.
 
-    Invariant: every stored row is primitive, has a positive pivot and
-    vanishes at the pivot columns of all other stored rows, so a
-    candidate can be reduced against the rows in any order.
+    Invariant: every stored row is primitive, has a positive pivot (its
+    leftmost nonzero entry) and vanishes at the pivot columns of all
+    other stored rows, so a candidate can be reduced against the rows in
+    any order and the rows are the RREF up to scaling.
     """
 
     def __init__(self, width: int):
@@ -113,85 +114,41 @@ class IntEchelon:
         return out
 
 
+def _augmented_echelon(rows, k: int) -> IntEchelon:
+    """Echelon of the augmented rows [a_1 .. a_k | b]."""
+    ech = IntEchelon(k + 1)
+    for row in rows:
+        ech.add(scale_to_int(row))
+    return ech
+
+
+def _read_solution(ech: IntEchelon, k: int) -> list:
+    """Particular solution of a consistent augmented echelon: each pivot
+    variable from its row, free variables zero."""
+    sol = [Fraction(0)] * k
+    for p, row in ech.rows.items():
+        sol[p] = Fraction(row[k], row[p])
+    return sol
+
+
 def solve_particular(columns: list, target) -> list | None:
     """Exact solution c of sum_j c_j columns[j] = target, or None.
 
-    RREF with leftmost pivot preference: free variables (later columns,
-    when earlier ones suffice) are set to zero.
+    Leftmost pivot preference: free variables (later columns, when
+    earlier ones suffice) are set to zero.
     """
     k = len(columns)
-    dim = len(target)
-    rows = [
-        [Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(dim)
-    ]
-    pivots = []
-    r = 0
-    for col in range(k):
-        pr = next((i for i in range(r, dim) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == dim:
-            break
-    for i in range(r, dim):
-        if rows[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for ri, ci in pivots:
-        sol[ci] = rows[ri][k]
-    return sol
+    rows = ([col[i] for col in columns] + [target[i]] for i in range(len(target)))
+    ech = _augmented_echelon(rows, k)
+    if k in ech.rows:  # b is independent of the columns
+        return None
+    return _read_solution(ech, k)
 
 
 def solve_square(matrix: list, rhs: list) -> list:
     """Exact solve of a nonsingular square rational system."""
     k = len(matrix)
-    rows = [
-        [Fraction(matrix[i][j]) for j in range(k)] + [Fraction(rhs[i])]
-        for i in range(k)
-    ]
-    for col in range(k):
-        pr = next((i for i in range(col, k) if rows[i][col] != 0), None)
-        if pr is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[pr] = rows[pr], rows[col]
-        pv = rows[col][col]
-        rows[col] = [v / pv for v in rows[col]]
-        for i in range(k):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return [rows[i][k] for i in range(k)]
-
-
-def row_space_canonical(rows: list) -> tuple:
-    """Canonical RREF of a rational row space, for span comparisons."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    out = []
-    r = 0
-    width = len(work[0]) if work else 0
-    for col in range(width):
-        pr = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][col]
-        work[r] = [v / pv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    for row in work[:r]:
-        out.append(tuple(row))
-    return tuple(out)
+    ech = _augmented_echelon(([*row, b] for row, b in zip(matrix, rhs)), k)
+    if ech.pivot_columns() != list(range(k)):
+        raise ValueError("singular matrix")
+    return _read_solution(ech, k)

@@ -11,28 +11,16 @@ from fractions import Fraction
 
 from . import expr as ex
 from .algebra import AlgElem
-from .approx import ApproximationResult, PolynomialSystem
+from .approx import ApproximationResult, PolynomialSystem, polynomial_expr
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def monomial_expr(key, coeff) -> ex.Expr:
-    t_pow, x_pows = key
-    factors = [ex.Const(coeff)]
-    if t_pow:
-        factors.append(ex.mk_pow(ex.T, t_pow))
-    for j, q in enumerate(x_pows):
-        if q:
-            factors.append(ex.mk_pow(ex.Var(j + 1), q))
-    return ex.mk_prod(factors)
-
-
 def polynomial_str(comp: dict) -> str:
     if not comp:
         return "0"
-    e = ex.mk_sum(monomial_expr(k, c) for k, c in sorted(comp.items()))
-    return ex.render(e)
+    return ex.render(polynomial_expr(comp))
 
 
 def polynomial_json(comp: dict) -> list:

@@ -13,9 +13,9 @@ from homapprox.approx import (
 )
 from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
 from homapprox import lie as lie_mod
-from homapprox.linalg import row_space_canonical
 from homapprox.series import SeriesComputer, lie_coefficient, series_up_to
 from homapprox.verify import max_shuffle_residual, order_check, random_control
+from rowspace import row_space_canonical
 
 F = Fraction
 

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -167,6 +168,16 @@ def test_shuffle_power():
     assert shuffle_power(xi(1), 0) == AlgElem.scalar(1)
     e = xi(0) + xi(1)
     assert shuffle_power(e, 2) == shuffle(e, e)
+
+
+def test_shuffle_monomial():
+    # a monomial in several generators is the shuffle of their powers
+    def monomial(generators, q):
+        return reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1))
+
+    assert monomial([xi(0)], (2,)) == 2 * xi(0, 0)
+    assert monomial([xi(0)], (0,)) == AlgElem.scalar(1)
+    assert monomial([xi(0), xi(1)], (1, 1)) == xi(0, 1) + xi(1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,16 @@ from homapprox.approx import (
     NotAccessibleError,
     NotRepresentableError,
     approximate,
+    build_ideal_blocks,
     check_self_consistency,
     express_as_shuffle_poly,
     select_core,
-    shuffle_monomial,
     weighted_multi_indices,
 )
 from homapprox.approx import InternalConsistencyError
 from homapprox.lie import build_lie_basis
-from homapprox.linalg import row_space_canonical
 from homapprox.series import SeriesComputer, series_up_to, system_from_strings
+from rowspace import row_space_canonical
 
 F = Fraction
 
@@ -124,6 +124,14 @@ def test_block_complement_dimension_counts_monomials(res3, res_drift, res_deep):
             assert block.dim - block.rank == expected, (res.weights, m)
 
 
+def test_blocks_check_codimension_at_runtime(res3):
+    # without ideal generators the order-3 block is empty: codimension 4,
+    # but weights (1, 3, 4) give only 2 shuffle monomials of order 3
+    core = dataclasses.replace(res3.core, dees=[])
+    with pytest.raises(InternalConsistencyError, match="codimension 4"):
+        build_ideal_blocks(core)
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -165,12 +173,6 @@ def test_weighted_multi_indices():
     assert weighted_multi_indices((1, 3, 4), 4) == [(0, 0, 1), (1, 1, 0), (4, 0, 0)]
     assert weighted_multi_indices((), 0) == [()]
     assert weighted_multi_indices((), 2) == []
-
-
-def test_shuffle_monomial():
-    assert shuffle_monomial([xi(0)], (2,)) == 2 * xi(0, 0)
-    assert shuffle_monomial([xi(0)], (0,)) == AlgElem.scalar(1)
-    assert shuffle_monomial([xi(0), xi(1)], (1, 1)) == xi(0, 1) + xi(1, 0)
 
 
 def test_express_shuffle_published_identities():

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from homapprox import cli
+from homapprox import cli, lie
 from homapprox import expr as ex
 from homapprox.algebra import AlgElem
 from homapprox.cli import (
@@ -172,6 +173,50 @@ def test_main_maps_evaluation_errors_past_the_parser(tmp_path, capsys, monkeypat
     p.write_text("n = 1\n")
     assert main(["--input", str(p)]) == EXIT_INPUT
     assert "division by zero" in capsys.readouterr().err
+
+
+ACCESSIBLE = "n = 2\na1 = 0\na2 = x1^2\nb1 = 1\nb2 = 0\n"
+
+
+def run_cli(*args):
+    env = {k: v for k, v in os.environ.items() if k != lie.CACHE_ENV_VAR}
+    return subprocess.run(
+        [sys.executable, "-m", "homapprox.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        # one word of two, which used to end in exit 3, in exit 0 with
+        # an ideal generator missing, and in an IndexError
+        '{"order": 3, "words": [[2]]}',
+        '{"order": 3, "words": [[0, 1]]}',
+        '{"order": 3, "words": [[0, 0, 0]]}',
+        '{"order": 3, "wor',  # truncated file
+    ],
+)
+def test_main_recomputes_a_bad_lie_cache(tmp_path, content):
+    p = tmp_path / "accessible.txt"
+    p.write_text(ACCESSIBLE)
+    fresh = run_cli("--input", p)
+    assert fresh.returncode == EXIT_OK
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "lie_order_3.json").write_text(content)
+    proc = run_cli("--input", p, "--cache-dir", cache)
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == fresh.stdout
+    # the bad file was replaced by the computed basis, with no temp file left
+    assert json.loads((cache / "lie_order_3.json").read_text()) == {
+        "order": 3,
+        "words": [[2], [0, 1]],
+    }
+    assert not list(cache.glob("*.tmp"))
 
 
 def test_main_not_accessible(tmp_path, capsys):

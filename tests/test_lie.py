@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from homapprox import lie
 from homapprox.algebra import AlgElem, vectorize, word_order
 from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
 
@@ -119,3 +121,30 @@ def test_words_are_valid_bracketings():
 def test_witt_dimension_rejects_bad_input():
     with pytest.raises(ValueError):
         witt_dimension(0)
+
+
+def test_valid_cache_file_is_read_not_recomputed(tmp_path, monkeypatch):
+    words = build_lie_basis(5, cache_dir=tmp_path)
+    monkeypatch.setattr(lie, "_order_cache", {})
+
+    def fail(m):
+        raise AssertionError(f"order {m} recomputed")
+
+    monkeypatch.setattr(lie, "_compute_order", fail)
+    again = build_lie_basis(5, cache_dir=tmp_path)
+    assert [g.word for g in again] == [g.word for g in words]
+
+
+def test_bad_cache_file_is_recomputed(tmp_path, monkeypatch):
+    fresh = [g.word for g in build_lie_basis(4)]
+    for content in (
+        '{"order": 4, "words": [[3], [0, 2], [1, 1]]}',  # [xi_1, xi_1] = 0: dependent
+        '{"order": 4, "words": [[0, 2], [3], [0, 0, 1]]}',  # out of canonical order
+        '{"order": 4, "words": [[3], [0, 2], [0, 0, true]]}',  # not an int
+        '{"order": 5, "words": [[3], [0, 2], [0, 0, 1]]}',  # wrong order
+        '[]',
+    ):
+        (tmp_path / "lie_order_4.json").write_text(content)
+        monkeypatch.setattr(lie, "_order_cache", {})
+        assert [g.word for g in build_lie_basis(4, cache_dir=tmp_path)] == fresh
+        assert json.loads((tmp_path / "lie_order_4.json").read_text())["order"] == 4

@@ -7,11 +7,11 @@ from homapprox.linalg import (
     IntEchelon,
     dot_int,
     primitive,
-    row_space_canonical,
     scale_to_int,
     solve_particular,
     solve_square,
 )
+from rowspace import row_space_canonical
 
 F = Fraction
 
