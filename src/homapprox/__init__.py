@@ -50,9 +50,6 @@ from .series import (
     EquilibriumError,
     SeriesComputer,
     SeriesTable,
-    lie_coefficient,
-    moment_coefficient,
-    series_up_to,
     system_from_strings,
 )
 

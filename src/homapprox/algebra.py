@@ -53,6 +53,28 @@ def basis_index(m: int) -> dict:
     return {w: i for i, w in enumerate(enumerate_basis(m))}
 
 
+def signed_sum(terms: list) -> str:
+    """Rendered terms joined by " + ", a leading "-" folded into " - "."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def scaled(c: Fraction, body: str, times: str) -> str:
+    """The term c*body: the body alone for c = 1, -body for c = -1, the
+    coefficient alone for an empty body, else c `times` body."""
+    if not body:
+        return str(c)
+    if c == 1:
+        return body
+    if c == -1:
+        return "-" + body
+    return f"{c}{times}{body}"
+
+
 class AlgElem:
     """Sparse element of the free algebra (plus an optional scalar part,
     keyed by the empty word, which psi produces)."""
@@ -96,21 +118,6 @@ class AlgElem:
 
     def support(self) -> list:
         return sorted(self.terms.keys(), key=word_sort_key)
-
-    def order(self) -> int | None:
-        """Common order of all words if homogeneous, else None."""
-        orders = {word_order(w) for w in self.terms if w != ()}
-        if () in self.terms:
-            orders.add(0)
-        if len(orders) != 1:
-            return None
-        return orders.pop()
-
-    def is_homogeneous(self, m: int | None = None) -> bool:
-        o = self.order()
-        if o is None:
-            return False
-        return True if m is None else o == m
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
         out = dict(self.terms)
@@ -160,35 +167,20 @@ class AlgElem:
     def __repr__(self) -> str:
         return f"AlgElem({self})"
 
+    def render(self, name, times: str) -> str:
+        """Signed sum of the terms in canonical order; `name` renders a
+        nonempty word and `times` joins a coefficient to it."""
+        return signed_sum(
+            [scaled(c, name(w) if w else "", times) for w, c in self.sorted_items()]
+        )
+
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_items():
-            if w == ():
-                body = str(c)
-            else:
-                name = "xi_{" + " ".join(str(m) for m in w) + "}"
-                if c == 1:
-                    body = name
-                elif c == -1:
-                    body = f"-{name}"
-                else:
-                    body = f"{c}*{name}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return self.render(lambda w: "xi_{" + " ".join(map(str, w)) + "}", "*")
 
     def to_json(self) -> list:
         return [
             {"word": list(w), "coeff": str(c)} for w, c in self.sorted_items()
         ]
-
-    @classmethod
-    def from_json(cls, data: list) -> "AlgElem":
-        return cls({tuple(item["word"]): Fraction(item["coeff"]) for item in data})
 
 
 def vectorize(e: AlgElem, m: int) -> list:

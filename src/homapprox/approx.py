@@ -152,13 +152,6 @@ class PolynomialSystem:
     a: list
     b: list
 
-    def is_autonomous(self) -> bool:
-        for comp in (*self.a, *self.b):
-            for (t_pow, _), _ in comp.items():
-                if t_pow:
-                    return False
-        return True
-
     def to_control_system(self) -> ControlSystem:
         a = tuple(polynomial_expr(c) for c in self.a)
         b = tuple(polynomial_expr(c) for c in self.b)

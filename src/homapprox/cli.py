@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys as _sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import approx as ap
 from . import expr as ex
+from . import lie
 from . import report as rp
 from . import verify as vf
 from .series import ControlSystem, EquilibriumError
@@ -27,29 +27,11 @@ EXIT_NO_AUTONOMOUS = 4
 EXIT_INTERNAL = 5
 
 _EXTENSIONS = {"text": "txt", "latex": "tex", "json": "json"}
+_RENDERERS = {"text": rp.render_text, "latex": rp.render_latex, "json": rp.render_json}
 
 
 class InputError(Exception):
     pass
-
-
-@dataclass
-class JobConfig:
-    input_path: Path
-    max_order: int = ap.DEFAULT_MAX_ORDER
-    mode: str = "both"
-    format: str = "text"
-    verify: bool = False
-    out_dir: Path | None = None
-    cache_dir: Path | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("both", "nonautonomous", "autonomous"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.format not in _EXTENSIONS:
-            raise InputError(f"unknown format {self.format!r}")
-        if self.max_order < 1:
-            raise InputError("--max-order must be >= 1")
 
 
 def parse_system_file(text: str) -> ControlSystem:
@@ -143,7 +125,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=("text", "latex", "json"),
+        choices=tuple(_RENDERERS),
         default="text",
         help="report format",
     )
@@ -161,34 +143,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _render(result, config, verification):
-    if config.format == "text":
-        return rp.render_text(result, config.mode, verification)
-    if config.format == "latex":
-        return rp.render_latex(result, config.mode, verification)
-    return rp.render_json(result, config.mode, verification)
-
-
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    try:
-        config = JobConfig(
-            input_path=Path(args.input),
-            max_order=args.max_order,
-            mode=args.mode,
-            format=args.format,
-            verify=args.verify,
-            out_dir=Path(args.out) if args.out else None,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        )
-    except InputError as err:
-        print(f"error: {err}", file=_sys.stderr)
+    if args.max_order < 1:
+        print("error: --max-order must be >= 1", file=_sys.stderr)
         return EXIT_INPUT
 
     try:
-        text = config.input_path.read_text()
+        text = Path(args.input).read_text()
     except OSError as err:
-        print(f"error: cannot read {config.input_path}: {err}", file=_sys.stderr)
+        print(f"error: cannot read {args.input}: {err}", file=_sys.stderr)
         return EXIT_INPUT
 
     try:
@@ -199,11 +163,19 @@ def main(argv=None) -> int:
 
     try:
         result = ap.approximate(
-            system, max_order=config.max_order, cache_dir=config.cache_dir
+            system, max_order=args.max_order, cache_dir=args.cache_dir or None
         )
         ap.check_self_consistency(result)
     except (EquilibriumError, ex.EvalError) as err:
         print(f"error: {err}", file=_sys.stderr)
+        return EXIT_INPUT
+    except OSError as err:
+        # the Lie basis cache is the only file the pipeline touches
+        option = "--cache-dir" if args.cache_dir else f"${lie.CACHE_ENV_VAR}"
+        print(
+            f"error: {option}: cannot write the Lie basis cache: {err}",
+            file=_sys.stderr,
+        )
         return EXIT_INPUT
     except ap.NotAccessibleError as err:
         print(f"error: {err}", file=_sys.stderr)
@@ -212,15 +184,23 @@ def main(argv=None) -> int:
         print(f"internal error: {err}", file=_sys.stderr)
         return EXIT_INTERNAL
 
-    verification = run_verification(result) if config.verify else None
-    rendered = _render(result, config, verification)
+    try:
+        verification = run_verification(result) if args.verify else None
+    except vf.VerificationError as err:
+        print(f"error: --verify: {err}", file=_sys.stderr)
+        return EXIT_INPUT
+    rendered = _RENDERERS[args.format](result, args.mode, verification)
     print(rendered)
-    if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        target = config.out_dir / f"report.{_EXTENSIONS[config.format]}"
-        target.write_text(rendered + ("\n" if not rendered.endswith("\n") else ""))
+    if args.out:
+        target = Path(args.out) / f"report.{_EXTENSIONS[args.format]}"
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(rendered + ("\n" if not rendered.endswith("\n") else ""))
+        except OSError as err:
+            print(f"error: --out: cannot write the report: {err}", file=_sys.stderr)
+            return EXIT_INPUT
 
-    if config.mode in ("both", "autonomous") and not result.autonomous_exists():
+    if args.mode in ("both", "autonomous") and not result.autonomous_exists():
         return EXIT_NO_AUTONOMOUS
     return EXIT_OK
 

@@ -96,10 +96,6 @@ ONE = Const(Fraction(1))
 T = Var(0)
 
 
-def const(value) -> Const:
-    return Const(Fraction(value))
-
-
 def x(i: int) -> Var:
     if i < 1:
         raise ValueError("state variables are numbered from 1")

@@ -29,14 +29,6 @@ class LieBasisElement:
     length: int
     index: int  # 1-based position in the assembled basis
 
-    def bracket_str(self) -> str:
-        if self.length == 1:
-            return f"xi_{{{self.word[0]}}}"
-        out = f"xi_{{{self.word[-1]}}}"
-        for m in reversed(self.word[:-1]):
-            out = f"[xi_{{{m}}}, {out}]"
-        return out
-
 
 @lru_cache(maxsize=None)
 def expand_right_normed(w: Word) -> AlgElem:

@@ -92,9 +92,6 @@ class IntEchelon:
         self.rows[pivot] = v
         return True
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def nullspace_basis(self) -> list:
         """Primitive integer basis of the kernel of the stored row matrix,
         one vector per free column, ordered by free column."""

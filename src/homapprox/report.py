@@ -7,10 +7,9 @@ is byte-stable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import expr as ex
-from .algebra import AlgElem
+from .algebra import AlgElem, scaled, signed_sum
 from .approx import ApproximationResult, PolynomialSystem, polynomial_expr
 
 
@@ -30,59 +29,46 @@ def polynomial_json(comp: dict) -> list:
     ]
 
 
-def _fraction_latex(c: Fraction) -> str:
-    return str(c)
-
-
 def elem_latex(e: AlgElem) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for w, c in e.sorted_items():
-        name = r"\xi_{" + r"\,".join(str(m) for m in w) + "}" if w else ""
-        if w == ():
-            body = _fraction_latex(c)
-        elif c == 1:
-            body = name
-        elif c == -1:
-            body = "-" + name
-        else:
-            body = _fraction_latex(c) + r"\," + name
-        parts.append(body)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return e.render(lambda w: r"\xi_{" + r"\,".join(map(str, w)) + "}", r"\,")
 
 
 def polynomial_latex(comp: dict) -> str:
-    if not comp:
-        return "0"
-    pieces = []
-    for (t_pow, x_pows), c in sorted(comp.items()):
-        factors = []
-        if t_pow:
-            factors.append("t" if t_pow == 1 else f"t^{{{t_pow}}}")
-        for j, q in enumerate(x_pows):
-            if q:
-                factors.append(f"x_{j + 1}" if q == 1 else f"x_{j + 1}^{{{q}}}")
-        body = r"\,".join(factors)
-        if not body:
-            pieces.append(_fraction_latex(c))
-        elif c == 1:
-            pieces.append(body)
-        elif c == -1:
-            pieces.append("-" + body)
-        else:
-            pieces.append(_fraction_latex(c) + r"\," + body)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    def monomial(t_pow, x_pows):
+        powers = [("t", t_pow)] + [(f"x_{j + 1}", q) for j, q in enumerate(x_pows)]
+        return r"\,".join(b if q == 1 else f"{b}^{{{q}}}" for b, q in powers if q)
+
+    return signed_sum(
+        [scaled(c, monomial(*k), r"\,") for k, c in sorted(comp.items())]
+    )
 
 
-def _sorted_series(result: ApproximationResult):
-    return result.table.nonzero_items()
+def _system_lines(psys: PolynomialSystem, render, control: str, line: str) -> list:
+    """One `line` per component i, formatted with i and the right-hand
+    side a_i + `control` (which holds b_i), the zero parts left out."""
+    lines = []
+    for i in range(psys.n):
+        a_str, b_str = render(psys.a[i]), render(psys.b[i])
+        terms = [a_str] if a_str != "0" else []
+        if b_str != "0":
+            terms.append(control.format(b_str))
+        lines.append(line.format(i + 1, signed_sum(terms)))
+    return lines
+
+
+# (control wrapper, line format) of a polynomial system in each format
+_TEXT = ("({})*u", "  dx{}/dt = {}")
+_LATEX = (r"\left({}\right)u", r"\dot x_{{{}}} &= {} \\")
+
+
+def _witness_scope(index: int, first: str, first_to: str) -> str:
+    """The projected elements before the witness index: constants, the
+    first one, or the first through index - 1 (filled into `first_to`)."""
+    if index == 1:
+        return "constants"
+    if index == 2:
+        return first
+    return first_to.format(index - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +85,7 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
         lines.append("  " + line)
     lines.append("")
     lines.append("Moment series (nonzero coefficients, orders <= N):")
-    for w, vec in _sorted_series(result):
+    for w, vec in result.table.nonzero_items():
         word = " ".join(str(m) for m in w)
         coeffs = ", ".join(str(c) for c in vec)
         lines.append(f"  v(xi_{{{word}}}) = ({coeffs})")
@@ -137,21 +123,16 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
     if mode in ("both", "nonautonomous"):
         lines.append("")
         lines.append("Non-autonomous homogeneous approximation:")
-        lines.extend(_poly_system_lines(result.nonautonomous, polynomial_str))
+        lines.extend(_system_lines(result.nonautonomous, polynomial_str, *_TEXT))
     if mode in ("both", "autonomous"):
         lines.append("")
         aut = result.autonomous
         if isinstance(aut, PolynomialSystem):
             lines.append("Autonomous homogeneous approximation:")
-            lines.extend(_poly_system_lines(aut, polynomial_str))
+            lines.extend(_system_lines(aut, polynomial_str, *_TEXT))
         else:
             lines.append("Autonomous homogeneous approximation: does not exist")
-            if aut.index == 1:
-                scope = "constants"
-            elif aut.index == 2:
-                scope = "l~_1"
-            else:
-                scope = f"l~_1..l~_{aut.index - 1}"
+            scope = _witness_scope(aut.index, "l~_1", "l~_1..l~_{}")
             lines.append(
                 f"  witness: {aut.kind}(l~_{aut.index}) = {aut.witness} is not a"
                 f" shuffle polynomial in {scope}"
@@ -162,21 +143,6 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
         lines.extend(_verification_lines(verification))
     lines.append("")
     return "\n".join(lines)
-
-
-def _poly_system_lines(psys: PolynomialSystem, renderer) -> list:
-    lines = []
-    for i in range(psys.n):
-        a_str = renderer(psys.a[i])
-        b_str = renderer(psys.b[i])
-        if a_str == "0":
-            rhs = f"({b_str})*u" if b_str != "0" else "0"
-        elif b_str == "0":
-            rhs = a_str
-        else:
-            rhs = f"{a_str} + ({b_str})*u"
-        lines.append(f"  dx{i + 1}/dt = {rhs}")
-    return lines
 
 
 def _verification_lines(verification) -> list:
@@ -205,41 +171,45 @@ def render_latex(result: ApproximationResult, mode: str = "both", verification=N
         rf"State dimension $n = {result.system.n}$, series order $N = {result.N}$."
     )
     lines.append(r"\subsection*{Moment series}")
-    lines.append(r"\begin{align*}")
-    for w, vec in _sorted_series(result):
+    series = []
+    for w, vec in result.table.nonzero_items():
         word = r"\,".join(str(m) for m in w)
         coeffs = ", ".join(str(c) for c in vec)
-        lines.append(rf"v(\xi_{{{word}}}) &= ({coeffs}) \\")
-    lines.append(r"\end{align*}")
+        series.append(rf"v(\xi_{{{word}}}) &= ({coeffs}) \\")
+    lines.extend(_align(series))
     lines.append(r"\subsection*{Core and projection}")
-    lines.append(r"\begin{align*}")
-    for k, (l, lt) in enumerate(zip(result.core.ell, result.projected)):
-        lines.append(
-            rf"\ell_{{{k + 1}}} &= {elem_latex(l.elem)}, &"
-            rf" \tilde\ell_{{{k + 1}}} &= {elem_latex(lt)} \\"
-        )
-    lines.append(r"\end{align*}")
+    lines.extend(_align(
+        rf"\ell_{{{k + 1}}} &= {elem_latex(l.elem)}, &"
+        rf" \tilde\ell_{{{k + 1}}} &= {elem_latex(lt)} \\"
+        for k, (l, lt) in enumerate(zip(result.core.ell, result.projected))
+    ))
     if result.core.dees:
         lines.append(r"Ideal generators:")
-        lines.append(r"\begin{align*}")
-        for j, d in enumerate(result.core.dees):
-            lines.append(rf"d_{{{j + 1}}} &= {elem_latex(d.elem)} \\")
-        lines.append(r"\end{align*}")
+        lines.extend(_align(
+            rf"d_{{{j + 1}}} &= {elem_latex(d.elem)} \\"
+            for j, d in enumerate(result.core.dees)
+        ))
     weights = ", ".join(str(w) for w in result.weights)
     lines.append(rf"Weights: $({weights})$.")
     if mode in ("both", "nonautonomous"):
         lines.append(r"\subsection*{Non-autonomous approximation}")
-        lines.extend(_poly_system_latex(result.nonautonomous))
+        rows = _system_lines(result.nonautonomous, polynomial_latex, *_LATEX)
+        lines.extend(_align(rows))
     if mode in ("both", "autonomous"):
         aut = result.autonomous
         lines.append(r"\subsection*{Autonomous approximation}")
         if isinstance(aut, PolynomialSystem):
-            lines.extend(_poly_system_latex(aut))
+            lines.extend(_align(_system_lines(aut, polynomial_latex, *_LATEX)))
         else:
+            scope = _witness_scope(
+                aut.index,
+                r"$\tilde\ell_{1}$",
+                r"$\tilde\ell_1,\dots,\tilde\ell_{{{}}}$",
+            )
             lines.append(
                 rf"Does not exist: $\{aut.kind}(\tilde\ell_{{{aut.index}}})"
                 rf" = {elem_latex(aut.witness)}$ is not a shuffle polynomial"
-                rf" in $\tilde\ell_1,\dots,\tilde\ell_{{{aut.index - 1}}}$."
+                rf" in {scope}."
             )
     if verification is not None:
         lines.append(r"\subsection*{Numerical verification}")
@@ -249,20 +219,8 @@ def render_latex(result: ApproximationResult, mode: str = "both", verification=N
     return "\n".join(lines)
 
 
-def _poly_system_latex(psys: PolynomialSystem) -> list:
-    lines = [r"\begin{align*}"]
-    for i in range(psys.n):
-        a_str = polynomial_latex(psys.a[i])
-        b_str = polynomial_latex(psys.b[i])
-        if a_str == "0":
-            rhs = rf"\left({b_str}\right)u" if b_str != "0" else "0"
-        elif b_str == "0":
-            rhs = a_str
-        else:
-            rhs = rf"{a_str} + \left({b_str}\right)u"
-        lines.append(rf"\dot x_{{{i + 1}}} &= {rhs} \\")
-    lines.append(r"\end{align*}")
-    return lines
+def _align(rows) -> list:
+    return [r"\begin{align*}", *rows, r"\end{align*}"]
 
 
 # ---------------------------------------------------------------------------

@@ -387,17 +387,3 @@ class SeriesComputer:
                     coeffs[w] = vec
         self._release_memos()
         return SeriesTable(self.sys.n, N, coeffs)
-
-
-def moment_coefficient(sys: ControlSystem, w: Word) -> tuple:
-    return SeriesComputer(sys).moment_vector(w)
-
-
-def series_up_to(sys: ControlSystem, N: int) -> SeriesTable:
-    return SeriesComputer(sys).table_up_to(N)
-
-
-def lie_coefficient(table: SeriesTable, elem) -> tuple:
-    """v applied to a Lie basis element (or any algebra element)."""
-    e = elem.expansion if hasattr(elem, "expansion") else elem
-    return table.v_elem(e)

@@ -214,10 +214,6 @@ class OrderCheckResult:
                 return False
         return True
 
-    def min_slope(self):
-        slopes = [c.slope for c in self.checks if c.slope is not None]
-        return min(slopes) if slopes else None
-
 
 def order_check(
     sys: ControlSystem,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,13 +10,13 @@ import pytest
 from homapprox import cli, lie
 from homapprox import expr as ex
 from homapprox.algebra import AlgElem
+from homapprox.approx import approximate
 from homapprox.cli import (
     EXIT_INPUT,
     EXIT_NO_AUTONOMOUS,
     EXIT_NOT_ACCESSIBLE,
     EXIT_OK,
     InputError,
-    JobConfig,
     main,
     parse_system_file,
 )
@@ -24,8 +25,10 @@ from homapprox.report import (
     polynomial_json,
     polynomial_latex,
     polynomial_str,
+    render_latex,
+    render_text,
 )
-from homapprox.series import ControlSystem
+from homapprox.series import ControlSystem, system_from_strings
 
 EX1 = """\
 # worked three-dimensional example
@@ -91,13 +94,14 @@ def test_parse_reports_position_of_syntax_errors():
         parse_system_file(text)
 
 
-def test_job_config_validation(tmp_path):
-    with pytest.raises(InputError):
-        JobConfig(tmp_path / "x", mode="sideways")
-    with pytest.raises(InputError):
-        JobConfig(tmp_path / "x", format="pdf")
-    with pytest.raises(InputError):
-        JobConfig(tmp_path / "x", max_order=0)
+def test_main_rejects_bad_options(ex1_file, capsys):
+    # argparse checks the choices, main the order cap; all exit 2
+    for bad in (["--mode", "sideways"], ["--format", "pdf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", str(ex1_file), *bad])
+        assert exc.value.code == EXIT_INPUT
+    assert main(["--input", str(ex1_file), "--max-order", "0"]) == EXIT_INPUT
+    assert "error: --max-order must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +182,13 @@ def test_main_maps_evaluation_errors_past_the_parser(tmp_path, capsys, monkeypat
 ACCESSIBLE = "n = 2\na1 = 0\na2 = x1^2\nb1 = 1\nb2 = 0\n"
 
 
-def run_cli(*args):
-    env = {k: v for k, v in os.environ.items() if k != lie.CACHE_ENV_VAR}
+def run_cli(*args, env=None):
+    base = {k: v for k, v in os.environ.items() if k != lie.CACHE_ENV_VAR}
     return subprocess.run(
         [sys.executable, "-m", "homapprox.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env={**base, **(env or {})},
     )
 
 
@@ -217,6 +221,31 @@ def test_main_recomputes_a_bad_lie_cache(tmp_path, content):
         "words": [[2], [0, 1]],
     }
     assert not list(cache.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("option", ["--out", "--cache-dir", "$HOMAPPROX_CACHE_DIR"])
+def test_main_rejects_a_regular_file_as_directory(tmp_path, option):
+    p = tmp_path / "accessible.txt"
+    p.write_text(ACCESSIBLE)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if option.startswith("$"):
+        proc = run_cli("--input", p, env={lie.CACHE_ENV_VAR: str(blocker)})
+    else:
+        proc = run_cli("--input", p, option, blocker)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith(f"error: {option}: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_maps_a_verification_blow_up(tmp_path):
+    # the backward integration of x1' = x1^2 + 10^6 u leaves float range
+    p = tmp_path / "stiff.txt"
+    p.write_text("n = 1\na1 = x1^2\nb1 = 1000000\n")
+    proc = run_cli("--input", p, "--verify")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: --verify: numerical blow-up")
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_not_accessible(tmp_path, capsys):
@@ -344,6 +373,16 @@ def test_polynomial_renderers():
         {"t_power": 1, "x_powers": [1, 0, 0], "coeff": "2/5"},
         {"t_power": 2, "x_powers": [0, 0, 0], "coeff": "-1/5"},
     ]
+
+
+def test_witness_scope_names_the_earlier_projections():
+    # the goldens cover witness indices 1 and 2; index 3 names a range
+    res = approximate(system_from_strings(1, ["0"], ["t"]))
+    wit = dataclasses.replace(res.autonomous, index=3)
+    res = dataclasses.replace(res, autonomous=wit)
+    assert "shuffle polynomial in l~_1..l~_2\n" in render_text(res)
+    latex = render_latex(res)
+    assert r"shuffle polynomial in $\tilde\ell_1,\dots,\tilde\ell_{2}$." in latex
 
 
 def test_elem_latex():

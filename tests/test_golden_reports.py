@@ -1,0 +1,42 @@
+"""Whole text and LaTeX reports, pinned byte for byte.
+
+`tests/golden/<name>.txt` and `<name>.tex` hold what
+`homapprox --input <system> --format text` (or `--format latex`) prints
+in the default mode, for systems of the benchmark suite under
+`perfbench/systems/` and for a one-state system whose autonomous witness
+has index 1.  Regenerate a golden only when a report change is intended.
+"""
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from homapprox import approx as ap
+from homapprox import report as rp
+from homapprox.cli import parse_system_file
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+BENCH_SYSTEMS = ("sys3", "sys3_drift", "mixed4", "rat3", "rat5", "quot", "deep7")
+# phi(l~_1) is the witness, so it is no shuffle polynomial in constants
+WITNESS1 = "n = 1\na1 = 0\nb1 = t\n"
+
+RENDERERS = {"txt": rp.render_text, "tex": rp.render_latex}
+
+
+@lru_cache(maxsize=None)
+def _result(name: str) -> ap.ApproximationResult:
+    if name == "witness1":
+        text = WITNESS1
+    else:
+        text = (ROOT / "perfbench" / "systems" / f"{name}.txt").read_text()
+    return ap.approximate(parse_system_file(text))
+
+
+@pytest.mark.parametrize("ext", sorted(RENDERERS))
+@pytest.mark.parametrize("name", BENCH_SYSTEMS + ("witness1",))
+def test_report_matches_golden(name, ext):
+    # the CLI prints the report followed by one newline
+    got = RENDERERS[ext](_result(name)) + "\n"
+    assert got == (GOLDEN / f"{name}.{ext}").read_text()

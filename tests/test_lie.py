@@ -53,7 +53,7 @@ def test_expand_antisymmetry():
 def test_expand_homogeneous():
     for w in [(0, 1), (1, 2, 0), (0, 0, 1, 2), (2, 0, 3)]:
         e = expand_right_normed(w)
-        assert e.is_homogeneous(word_order(w))
+        assert {word_order(v) for v in e.terms} == {word_order(w)}
 
 
 def test_expand_degenerate_brackets_vanish():
@@ -95,7 +95,7 @@ def test_basis_counts_and_independence():
         elems = by_order[m]
         assert len(elems) == witt_dimension(m)
         for g in elems:
-            assert g.expansion.is_homogeneous(m)
+            assert {word_order(v) for v in g.expansion.terms} == {m}
             assert all(c.denominator == 1 for _, c in g.expansion.items())
         vecs = [vectorize(g.expansion, m) for g in elems]
         assert rank_of(vecs) == len(elems)

@@ -12,9 +12,6 @@ from homapprox.series import (
     SeriesComputer,
     apply_R_a,
     apply_R_b,
-    lie_coefficient,
-    moment_coefficient,
-    series_up_to,
     system_from_strings,
     validate_equilibrium,
 )
@@ -88,7 +85,7 @@ EXPECTED_SYS3_TABLE = {
 
 
 def test_moment_coefficients_match_published_values(sys3):
-    table = series_up_to(sys3, 4)
+    table = SeriesComputer(sys3).table_up_to(4)
     assert table.coeffs == EXPECTED_SYS3_TABLE
 
 
@@ -100,15 +97,10 @@ def test_all_other_low_words_vanish(sys3):
             assert comp.moment_vector(w) == expected, w
 
 
-def test_moment_coefficient_wrapper(sys3):
-    assert moment_coefficient(sys3, (0,)) == vec(1, 0, 0)
-    assert moment_coefficient(sys3, (0, 1)) == vec(0, 2, 0)
-
-
 def test_lie_coefficients_match_published_values(sys3):
-    table = series_up_to(sys3, 4)
+    table = SeriesComputer(sys3).table_up_to(4)
     basis = build_lie_basis(4)
-    got = [lie_coefficient(table, g) for g in basis[:6]]
+    got = [table.v_elem(g.expansion) for g in basis[:6]]
     assert got == [
         vec(1, 0, 0),
         vec(0, 0, 0),
@@ -118,11 +110,11 @@ def test_lie_coefficients_match_published_values(sys3):
         vec(0, 0, -1),
     ]
     # the published order-4 bracket [xi0,[xi1,xi0]] has value (0,0,6)
-    assert lie_coefficient(table, expand_right_normed((0, 1, 0))) == vec(0, 0, 6)
+    assert table.v_elem(expand_right_normed((0, 1, 0))) == vec(0, 0, 6)
 
 
 def test_table_linear_extension(sys3):
-    table = series_up_to(sys3, 4)
+    table = SeriesComputer(sys3).table_up_to(4)
     e = expand_right_normed((0, 1))  # xi01 - xi10
     assert table.v_elem(e) == vec(0, 2, 0)
     with pytest.raises(ValueError):
@@ -135,15 +127,15 @@ def test_table_linear_extension(sys3):
 
 def test_scalar_integrator_series(sys_scalar):
     # dx = u: only xi_0 appears, with v_0 = -b(0,0)
-    table = series_up_to(sys_scalar, 5)
+    table = SeriesComputer(sys_scalar).table_up_to(5)
     assert table.coeffs == {(0,): (F(-1),)}
 
 
 def test_control_scaling_scales_by_word_length():
     base = system_from_strings(2, ["0", "x1^2"], ["1", "0"])
     scaled = system_from_strings(2, ["0", "x1^2"], ["3", "0"])
-    t1 = series_up_to(base, 5)
-    t2 = series_up_to(scaled, 5)
+    t1 = SeriesComputer(base).table_up_to(5)
+    t2 = SeriesComputer(scaled).table_up_to(5)
     words = set(t1.coeffs) | set(t2.coeffs)
     for w in words:
         k = len(w)
@@ -185,11 +177,11 @@ def test_words_of_rising_order_match_table(sys3):
 def test_jets_reject_components_undefined_at_origin(b1, error):
     sys = system_from_strings(1, ["0"], [b1])
     with pytest.raises(error):
-        series_up_to(sys, 2)
+        SeriesComputer(sys).table_up_to(2)
 
 
 def test_json_encoding(sys_scalar):
-    data = series_up_to(sys_scalar, 3).to_json()
+    data = SeriesComputer(sys_scalar).table_up_to(3).to_json()
     assert data == [{"word": [0], "coeff": ["-1"]}]
 
 
