@@ -424,25 +424,19 @@ def build_autonomous(core: CoreDecomposition, projected: list):
 # driver
 
 def approximate(
-    sys: ControlSystem,
-    max_order: int = DEFAULT_MAX_ORDER,
-    cache_dir=None,
+    sys: ControlSystem, max_order: int = DEFAULT_MAX_ORDER
 ) -> ApproximationResult:
     """Full pipeline with iterative deepening of the series order N,
     starting at n and capped at max_order."""
     computer = SeriesComputer(sys)
-    N = max(1, sys.n)
-    if N > max_order:
-        N = max_order
-    last_error = None
+    N = min(max(1, sys.n), max_order)
     while True:
-        basis = build_lie_basis(N, cache_dir)
+        basis = build_lie_basis(N)
         table = computer.table_up_to(N)
         try:
             core = select_core(table, basis, sys.n)
             break
-        except NotAccessibleError as err:
-            last_error = err
+        except NotAccessibleError:
             if N >= max_order:
                 raise
             N += 1

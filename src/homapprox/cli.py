@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import approx as ap
 from . import expr as ex
-from . import lie
 from . import report as rp
 from . import verify as vf
 from .series import ControlSystem, EquilibriumError
@@ -135,11 +134,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="run numerical cross-checks and include them in the report",
     )
     p.add_argument("--out", default=None, help="directory for the report file")
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        help="Lie basis cache directory (default: $HOMAPPROX_CACHE_DIR)",
-    )
     return p
 
 
@@ -162,20 +156,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        result = ap.approximate(
-            system, max_order=args.max_order, cache_dir=args.cache_dir or None
-        )
+        result = ap.approximate(system, max_order=args.max_order)
         ap.check_self_consistency(result)
     except (EquilibriumError, ex.EvalError) as err:
         print(f"error: {err}", file=_sys.stderr)
-        return EXIT_INPUT
-    except OSError as err:
-        # the Lie basis cache is the only file the pipeline touches
-        option = "--cache-dir" if args.cache_dir else f"${lie.CACHE_ENV_VAR}"
-        print(
-            f"error: {option}: cannot write the Lie basis cache: {err}",
-            file=_sys.stderr,
-        )
         return EXIT_INPUT
     except ap.NotAccessibleError as err:
         print(f"error: {err}", file=_sys.stderr)

@@ -223,7 +223,7 @@ def test_criterion_8_numerical_order(sys3):
 
 def test_criterion_9_performance_envelope(sys_deep):
     with criterion(9, "depth-9 system completes the full pipeline in < 60 s"):
-        lie_mod._order_cache.clear()
+        lie_mod._kept_words.cache_clear()
         expand_right_normed.cache_clear()
         start = time.perf_counter()
         res = approximate(sys_deep)

@@ -298,11 +298,15 @@ def test_deep_pipeline(res_deep):
     )
 
 
-def test_deepening_respects_max_order(sys_deep):
+def test_deepening_respects_max_order(sys_deep, sys3):
     with pytest.raises(NotAccessibleError) as err:
         approximate(sys_deep, max_order=5)
     assert err.value.achieved == 1
     assert err.value.N == 5
+    # the cap also lowers the start order n
+    with pytest.raises(NotAccessibleError) as err:
+        approximate(sys3, max_order=2)
+    assert err.value.N == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from homapprox import cli, lie
+from homapprox import cli
 from homapprox import expr as ex
 from homapprox.algebra import AlgElem
 from homapprox.approx import approximate
@@ -96,7 +96,7 @@ def test_parse_reports_position_of_syntax_errors():
 
 def test_main_rejects_bad_options(ex1_file, capsys):
     # argparse checks the choices, main the order cap; all exit 2
-    for bad in (["--mode", "sideways"], ["--format", "pdf"]):
+    for bad in (["--mode", "sideways"], ["--format", "pdf"], ["--cache-dir", "d"]):
         with pytest.raises(SystemExit) as exc:
             main(["--input", str(ex1_file), *bad])
         assert exc.value.code == EXIT_INPUT
@@ -183,20 +183,33 @@ ACCESSIBLE = "n = 2\na1 = 0\na2 = x1^2\nb1 = 1\nb2 = 0\n"
 
 
 def run_cli(*args, env=None):
-    base = {k: v for k, v in os.environ.items() if k != lie.CACHE_ENV_VAR}
     return subprocess.run(
         [sys.executable, "-m", "homapprox.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env={**base, **(env or {})},
+        env={**os.environ, **(env or {})},
     )
+
+
+def assert_lie_cache_ignored(tmp_path, system, name, content, *options):
+    """A directory named by $HOMAPPROX_CACHE_DIR holding one Lie basis file
+    neither changes the run nor gains or loses a file."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / name).write_text(content)
+    fresh = run_cli("--input", system, *options)
+    proc = run_cli("--input", system, *options, env={"HOMAPPROX_CACHE_DIR": str(cache)})
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (fresh.returncode, fresh.stdout)
+    assert [(f.name, f.read_text()) for f in cache.iterdir()] == [(name, content)]
+    return proc
 
 
 @pytest.mark.parametrize(
     "content",
     [
-        # one word of two, which used to end in exit 3, in exit 0 with
-        # an ideal generator missing, and in an IndexError
+        # one word of two; a file once read gave exit 3, exit 0 with an
+        # ideal generator missing, and an IndexError
         '{"order": 3, "words": [[2]]}',
         '{"order": 3, "words": [[0, 1]]}',
         '{"order": 3, "words": [[0, 0, 0]]}',
@@ -206,33 +219,26 @@ def run_cli(*args, env=None):
 def test_main_recomputes_a_bad_lie_cache(tmp_path, content):
     p = tmp_path / "accessible.txt"
     p.write_text(ACCESSIBLE)
-    fresh = run_cli("--input", p)
-    assert fresh.returncode == EXIT_OK
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "lie_order_3.json").write_text(content)
-    proc = run_cli("--input", p, "--cache-dir", cache)
+    proc = assert_lie_cache_ignored(tmp_path, p, "lie_order_3.json", content)
     assert proc.returncode == EXIT_OK
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == fresh.stdout
-    # the bad file was replaced by the computed basis, with no temp file left
-    assert json.loads((cache / "lie_order_3.json").read_text()) == {
-        "order": 3,
-        "words": [[2], [0, 1]],
-    }
-    assert not list(cache.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("option", ["--out", "--cache-dir", "$HOMAPPROX_CACHE_DIR"])
+def test_main_ignores_a_foreign_lie_basis(ex1_file, tmp_path):
+    # a valid basis of order 4, but not the scanned one ([0, 2] there):
+    # read as a cache, it flipped the signs of b3
+    foreign = '{"order": 4, "words": [[3], [2, 0], [0, 0, 1]]}'
+    assert_lie_cache_ignored(
+        tmp_path, ex1_file, "lie_order_4.json", foreign, "--format", "json"
+    )
+
+
+@pytest.mark.parametrize("option", ["--out"])
 def test_main_rejects_a_regular_file_as_directory(tmp_path, option):
     p = tmp_path / "accessible.txt"
     p.write_text(ACCESSIBLE)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    if option.startswith("$"):
-        proc = run_cli("--input", p, env={lie.CACHE_ENV_VAR: str(blocker)})
-    else:
-        proc = run_cli("--input", p, option, blocker)
+    proc = run_cli("--input", p, option, blocker)
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith(f"error: {option}: ")
     assert "Traceback" not in proc.stderr

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -102,14 +101,12 @@ def test_basis_counts_and_independence():
     assert [g.index for g in basis] == list(range(1, len(basis) + 1))
 
 
-def test_cache_roundtrip(tmp_path):
-    first = build_lie_basis(5, cache_dir=tmp_path)
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == [f"lie_order_{m}.json" for m in range(1, 6)]
-    second = build_lie_basis(5, cache_dir=tmp_path)
-    assert [(g.word, g.expansion) for g in first] == [
-        (g.word, g.expansion) for g in second
-    ]
+def test_each_order_is_computed_once():
+    lie._kept_words.cache_clear()
+    first = build_lie_basis(5)
+    deeper = build_lie_basis(6)
+    assert lie._kept_words.cache_info().misses == 6
+    assert [g.word for g in deeper[: len(first)]] == [g.word for g in first]
 
 
 def test_words_are_valid_bracketings():
@@ -121,30 +118,3 @@ def test_words_are_valid_bracketings():
 def test_witt_dimension_rejects_bad_input():
     with pytest.raises(ValueError):
         witt_dimension(0)
-
-
-def test_valid_cache_file_is_read_not_recomputed(tmp_path, monkeypatch):
-    words = build_lie_basis(5, cache_dir=tmp_path)
-    monkeypatch.setattr(lie, "_order_cache", {})
-
-    def fail(m):
-        raise AssertionError(f"order {m} recomputed")
-
-    monkeypatch.setattr(lie, "_compute_order", fail)
-    again = build_lie_basis(5, cache_dir=tmp_path)
-    assert [g.word for g in again] == [g.word for g in words]
-
-
-def test_bad_cache_file_is_recomputed(tmp_path, monkeypatch):
-    fresh = [g.word for g in build_lie_basis(4)]
-    for content in (
-        '{"order": 4, "words": [[3], [0, 2], [1, 1]]}',  # [xi_1, xi_1] = 0: dependent
-        '{"order": 4, "words": [[0, 2], [3], [0, 0, 1]]}',  # out of canonical order
-        '{"order": 4, "words": [[3], [0, 2], [0, 0, true]]}',  # not an int
-        '{"order": 5, "words": [[3], [0, 2], [0, 0, 1]]}',  # wrong order
-        '[]',
-    ):
-        (tmp_path / "lie_order_4.json").write_text(content)
-        monkeypatch.setattr(lie, "_order_cache", {})
-        assert [g.word for g in build_lie_basis(4, cache_dir=tmp_path)] == fresh
-        assert json.loads((tmp_path / "lie_order_4.json").read_text())["order"] == 4
