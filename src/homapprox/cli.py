@@ -93,9 +93,7 @@ def run_verification(result: ap.ApproximationResult, seed: int = 20240801) -> di
     controls = [vf.random_control(rng) for _ in range(3)]
     oc = vf.order_check(result.system, result.table, controls)
     shuffle_res = max(
-        vf.max_shuffle_residual(c, th, min(result.N, 4))
-        for c in controls[:2]
-        for th in (0.05, 0.1)
+        vf.max_shuffle_residual(c, min(result.N, 4)) for c in controls[:2]
     )
     return {"order_check": oc, "shuffle_residual": shuffle_res}
 

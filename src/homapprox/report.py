@@ -43,12 +43,13 @@ def polynomial_latex(comp: dict) -> str:
     )
 
 
-def _system_lines(psys: PolynomialSystem, render, control: str, line: str) -> list:
-    """One `line` per component i, formatted with i and the right-hand
-    side a_i + `control` (which holds b_i), the zero parts left out."""
+def _system_lines(system, render, control: str, line: str) -> list:
+    """One `line` per component i of a PolynomialSystem or ControlSystem,
+    formatted with i and the right-hand side a_i + `control` (which holds
+    b_i), the zero parts left out."""
     lines = []
-    for i in range(psys.n):
-        a_str, b_str = render(psys.a[i]), render(psys.b[i])
+    for i in range(system.n):
+        a_str, b_str = render(system.a[i]), render(system.b[i])
         terms = [a_str] if a_str != "0" else []
         if b_str != "0":
             terms.append(control.format(b_str))
@@ -81,8 +82,7 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
     lines.append("=" * 40)
     lines.append(f"State dimension n = {sys.n}, series order N = {result.N}")
     lines.append("Input system:")
-    for line in sys.render():
-        lines.append("  " + line)
+    lines.extend(_system_lines(sys, ex.expr_to_str, *_TEXT))
     lines.append("")
     lines.append("Moment series (nonzero coefficients, orders <= N):")
     for w, vec in result.table.nonzero_items():
@@ -99,9 +99,7 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
     if result.core.dees:
         lines.append("Ideal generators (corrected dependent directions):")
         for j, d in enumerate(result.core.dees):
-            combo = " + ".join(
-                (f"{c}*g_{i}" if c != 1 else f"g_{i}") for c, i in d.combo
-            )
+            combo = signed_sum([scaled(c, f"g_{i}", "*") for c, i in d.combo])
             lines.append(f"  d_{j + 1} = {combo} = {d.elem}  (order {d.order})")
     else:
         lines.append("Ideal generators: none")

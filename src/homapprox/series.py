@@ -41,15 +41,6 @@ class ControlSystem:
             if bad:
                 raise ValueError(f"component uses x{max(bad)} but n = {self.n}")
 
-    def render(self) -> list:
-        lines = []
-        for i in range(self.n):
-            lines.append(
-                f"dx{i + 1}/dt = {ex.expr_to_str(self.a[i])}"
-                f" + ({ex.expr_to_str(self.b[i])})*u"
-            )
-        return lines
-
 
 def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
     a = tuple(ex.simplify(ex.parse_expr(s, n)) for s in a_strs)

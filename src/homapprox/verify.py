@@ -1,25 +1,29 @@
 """Numerical cross-checks of the symbolic pipeline.
 
-Two independent routes are compared: classical RK4 integration of the
-moment ODEs combined with the computed series on one side, and direct
-backward integration of the state equation with end condition x(theta)=0
-on the other.  The residual between them must shrink like theta^(N+1).
-Controls are piecewise constant with pieces aligned to the RK4 grid, so
-the integrator keeps its full order across control switches.
+Two independent routes are compared: the computed series evaluated at
+the exact moments of the control on one side, and RK4 backward
+integration of the state equation with end condition x(theta) = 0 on
+the other.  The residual between them must shrink like theta^(N+1).
+Controls are piecewise constant, so every moment is a polynomial on each
+piece and is integrated exactly in rationals, once per control for all
+horizons; the control pieces are aligned to the RK4 grid, so the backward
+integrator keeps its full order across control switches.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import expr as ex
-from .algebra import Word, enumerate_basis, _shuffle_words
+from .algebra import Word, enumerate_basis, word_order, _shuffle_words
 from .series import ControlSystem, SeriesTable
 
 DEFAULT_STEPS = 2000
 NOISE_FLOOR = 1e-13
 CONTROL_VALUES = (-1.0, -0.5, 0.5, 1.0)
-# piece counts dividing DEFAULT_STEPS, so switches land on grid nodes
+# piece counts dividing DEFAULT_STEPS, so switches land on the grid nodes
+# of backward_endpoint
 CONTROL_PIECES = (4, 8, 10, 16, 20, 25)
 
 
@@ -50,48 +54,38 @@ def random_control(rng) -> PiecewiseConstantControl:
     return PiecewiseConstantControl(values)
 
 
-def evaluate_moments(
-    control: PiecewiseConstantControl, theta: float, N: int, steps: int = DEFAULT_STEPS
-) -> dict:
-    """RK4 values at time theta of all moments of order <= N.
+def evaluate_moments(control: PiecewiseConstantControl, N: int) -> dict:
+    """Exact values at sigma = 1 of all moments of order <= N, the empty
+    word included, with the control spread over the unit horizon.
 
-    The moments satisfy the triangular system
-    d/ds xi_{m1 m2...}(s) = s^{m1} u(s) xi_{m2...}(s) with value 1 on the
-    empty word; each integration step samples the control at the step
-    midpoint, which is exact for grid-aligned piecewise constants.
+    xi_{m1 w'}(s) is the integral from 0 to s of r^{m1} u(r) xi_{w'}(r).
+    On a piece where u is the constant c this is the polynomial
+    xi_{m1 w'}(start) + c * integral from start to s of r^{m1} xi_{w'},
+    so the moments are integrated piece by piece (Chen's identity), with
+    words in order of increasing order so that each tail is known.
     """
-    words: list = [()]
-    for m in range(1, N + 1):
-        words.extend(enumerate_basis(m))
-    index = {w: i for i, w in enumerate(words)}
-    # precompute (first letter, index of the tail) for each non-empty word
-    deps = [None] + [(w[0], index[w[1:]]) for w in words[1:]]
-    y = [0.0] * len(words)
-    y[0] = 1.0
-    h = theta / steps
+    words = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+    values = {(): Fraction(1), **dict.fromkeys(words, Fraction(0))}
+    k = len(control.values)
+    for j, u in enumerate(control.values):
+        start, end, c = Fraction(j, k), Fraction(j + 1, k), Fraction(u)
+        polys = {(): [Fraction(1)]}  # coefficients by ascending power of s
+        for w in words:
+            m1 = w[0]
+            poly = [Fraction(0)] * (m1 + 1) + [
+                c * a / (m1 + 1 + i) for i, a in enumerate(polys[w[1:]])
+            ]
+            poly[0] = values[w] - _at(poly, start)
+            polys[w] = poly
+            values[w] = _at(poly, end)
+    return values
 
-    def rhs(s: float, state: list, u: float) -> list:
-        out = [0.0] * len(state)
-        for i in range(1, len(state)):
-            m1, tail = deps[i]
-            out[i] = (s**m1) * u * state[tail]
-        return out
 
-    for step in range(steps):
-        s = step * h
-        u = control.sample(s + 0.5 * h, theta)
-        k1 = rhs(s, y, u)
-        y2 = [a + 0.5 * h * b for a, b in zip(y, k1)]
-        k2 = rhs(s + 0.5 * h, y2, u)
-        y3 = [a + 0.5 * h * b for a, b in zip(y, k2)]
-        k3 = rhs(s + 0.5 * h, y3, u)
-        y4 = [a + h * b for a, b in zip(y, k3)]
-        k4 = rhs(s + h, y4, u)
-        y = [
-            a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + t)
-            for a, p, q, r, t in zip(y, k1, k2, k3, k4)
-        ]
-    return {w: y[i] for w, i in index.items()}
+def _at(poly: list, s: Fraction) -> Fraction:
+    out = Fraction(0)
+    for a in reversed(poly):
+        out = out * s + a
+    return out
 
 
 def compile_system(sys: ControlSystem):
@@ -151,26 +145,27 @@ def backward_endpoint(
     return x
 
 
-def series_prediction(table: SeriesTable, moments: dict) -> list:
-    out = [0.0] * table.n
+def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
+    """The series at horizon theta from the unit-horizon moments: the
+    substitution s = theta * sigma gives xi_w(theta) = theta^order(w) xi_w(1)."""
+    th = Fraction(theta)
+    out = [Fraction(0)] * table.n
     for w, vec in table.coeffs.items():
-        xi = moments[w]
-        for i in range(table.n):
-            if vec[i]:
-                out[i] += float(vec[i]) * xi
-    return out
+        xi = moments[w] * th ** word_order(w)
+        for i, c in enumerate(vec):
+            out[i] += c * xi
+    return [float(x) for x in out]
 
 
 def residual(
     sys: ControlSystem,
     table: SeriesTable,
     control: PiecewiseConstantControl,
+    moments: dict,
     theta: float,
-    steps: int = DEFAULT_STEPS,
 ) -> float:
-    moments = evaluate_moments(control, theta, table.N, steps)
-    predicted = series_prediction(table, moments)
-    actual = backward_endpoint(sys, control, theta, steps)
+    predicted = series_prediction(table, moments, theta)
+    actual = backward_endpoint(sys, control, theta)
     return math.sqrt(sum((p - a) ** 2 for p, a in zip(predicted, actual)))
 
 
@@ -216,11 +211,7 @@ class OrderCheckResult:
 
 
 def order_check(
-    sys: ControlSystem,
-    table: SeriesTable,
-    controls,
-    thetas=None,
-    steps: int = DEFAULT_STEPS,
+    sys: ControlSystem, table: SeriesTable, controls, thetas=None
 ) -> OrderCheckResult:
     """Residual between series prediction and backward integration must
     vanish at rate theta^(N+1): fitted slope >= N + 0.7 per control."""
@@ -228,41 +219,35 @@ def order_check(
         thetas = tuple(0.2 * 2**-j for j in range(6))
     checks = []
     for control in controls:
-        res = tuple(residual(sys, table, control, th, steps) for th in thetas)
+        moments = evaluate_moments(control, table.N)
+        res = tuple(residual(sys, table, control, moments, th) for th in thetas)
         checks.append(
             ControlCheck(control, tuple(thetas), res, fit_slope(thetas, res))
         )
     return OrderCheckResult(table.N, checks, table.N + 0.7)
 
 
-def shuffle_identity_residual(moments: dict, w1: Word, w2: Word) -> float:
-    """|xi_{w1} xi_{w2} - sum of shuffle moments|; the product of two
-    iterated integrals must equal the shuffle of their words."""
+def shuffle_identity_residual(moments: dict, w1: Word, w2: Word) -> Fraction:
+    """xi_{w1} xi_{w2} - sum of shuffle moments, which vanishes: the
+    product of two iterated integrals is the shuffle of their words."""
     lhs = moments[w1] * moments[w2]
     if w1 > w2:
         w1, w2 = w2, w1
-    rhs = 0.0
-    for w, mult in _shuffle_words(tuple(w1), tuple(w2)):
-        rhs += mult * moments[w]
-    return abs(lhs - rhs)
+    return lhs - sum(mult * moments[w] for w, mult in _shuffle_words(w1, w2))
 
 
-def max_shuffle_residual(
-    control: PiecewiseConstantControl,
-    theta: float,
-    max_order: int,
-    steps: int = DEFAULT_STEPS,
-) -> float:
-    """Worst shuffle-identity violation over all word pairs whose orders
-    sum to at most max_order."""
-    moments = evaluate_moments(control, theta, max_order, steps)
-    worst = 0.0
-    pairs = []
-    for m1 in range(1, max_order):
-        for m2 in range(m1, max_order + 1 - m1):
-            for w1 in enumerate_basis(m1):
-                for w2 in enumerate_basis(m2):
-                    pairs.append((w1, w2))
-    for w1, w2 in pairs:
-        worst = max(worst, shuffle_identity_residual(moments, w1, w2))
-    return worst
+def max_shuffle_residual(control: PiecewiseConstantControl, max_order: int) -> float:
+    """Largest |shuffle-identity violation| over all word pairs whose
+    orders sum to at most max_order; the identity is homogeneous in the
+    horizon, so the unit horizon checks every theta."""
+    moments = evaluate_moments(control, max_order)
+    return float(max(
+        (
+            abs(shuffle_identity_residual(moments, w1, w2))
+            for m1 in range(1, max_order)
+            for m2 in range(m1, max_order + 1 - m1)
+            for w1 in enumerate_basis(m1)
+            for w2 in enumerate_basis(m2)
+        ),
+        default=0,
+    ))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homapprox import expr as ex
 from homapprox.algebra import AlgElem, enumerate_basis, phi, vectorize
 from homapprox.approx import (
     NoAutonomousApproximation,
@@ -250,8 +251,8 @@ def test_changed_system_autonomous_published(res_drift):
 
 def test_polynomial_system_expr_roundtrip(res3):
     ctrl = res3.nonautonomous.to_control_system()
-    lines = ctrl.render()
-    assert lines[0] == "dx1/dt = 0 + (-1)*u"
+    assert ex.expr_to_str(ctrl.a[0]) == "0"
+    assert ex.expr_to_str(ctrl.b[0]) == "-1"
     # the rebuilt symbolic system parses and has matching dimensions
     assert ctrl.n == 3
 

@@ -64,7 +64,8 @@ def changed_file(tmp_path):
 def test_parse_system_file():
     sys3 = parse_system_file(EX1)
     assert sys3.n == 3
-    assert sys3.render()[1] == "dx2/dt = -1*sin(x1)^2 + (t^2)*u"
+    assert ex.expr_to_str(sys3.a[1]) == "-1*sin(x1)^2"
+    assert ex.expr_to_str(sys3.b[1]) == "t^2"
 
 
 def test_parse_rejects_malformed_input():
@@ -389,6 +390,16 @@ def test_witness_scope_names_the_earlier_projections():
     assert "shuffle polynomial in l~_1..l~_2\n" in render_text(res)
     latex = render_latex(res)
     assert r"shuffle polynomial in $\tilde\ell_1,\dots,\tilde\ell_{2}$." in latex
+
+
+def test_ideal_generator_line_folds_negative_coefficients(sys3):
+    # the goldens only have a negative first coefficient (d_4 = -g_7 + 6*g_6)
+    res = approximate(sys3)
+    d = res.core.dees[0]
+    dees = [dataclasses.replace(d, combo=((F(1), 7), (F(-6), 6), (F(-1), 5)))]
+    res = dataclasses.replace(res, core=dataclasses.replace(res.core, dees=dees))
+    line = f"  d_1 = g_7 - 6*g_6 - g_5 = {d.elem}  (order {d.order})\n"
+    assert line in render_text(res)
 
 
 def test_elem_latex():
