@@ -3,7 +3,6 @@
 from .algebra import (
     AlgElem,
     concat,
-    devectorize,
     enumerate_basis,
     phi,
     psi,

@@ -194,13 +194,6 @@ def vectorize(e: AlgElem, m: int) -> list:
     return vec
 
 
-def devectorize(vec, m: int) -> AlgElem:
-    basis = enumerate_basis(m)
-    if len(vec) != len(basis):
-        raise ValueError("vector length does not match the order-m basis")
-    return AlgElem({w: c for w, c in zip(basis, vec)})
-
-
 def concat(e1: AlgElem, e2: AlgElem) -> AlgElem:
     """Concatenation product; orders add."""
     out: dict = {}

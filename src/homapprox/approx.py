@@ -2,12 +2,22 @@
 
 From the moment series of a system the pipeline selects the core Lie
 elements l_1..l_n (whose images under v are independent) together with
-correction elements d_j generating a right ideal, projects each l_i onto
-the orthogonal complement of the ideal's graded blocks, and reconstructs
+correction elements d_j generating a right ideal J, projects each l_i
+onto the orthogonal complement of J in its order, and reconstructs
 polynomial approximating systems from the projected elements: always a
 non-autonomous one, and an autonomous one exactly when the phi/psi
 images of every projected element are shuffle polynomials in the
 previous ones.
+
+The complement is built order by order from its last letters, never from
+the 2^(m-1)-wide graded blocks of J: right multiplication by a letter is
+an isometry and the images under different letters are orthogonal, so
+
+    J^perp_0 = span{1},
+    J^perp_m = { sum_k y_k xi_k : y_k in J^perp_{m-k-1} } ∩ D_m^perp,
+
+where D_m holds the d's of order m.  Each order costs one null space of
+|D_m| rows over sum_{j<m} dim J^perp_j columns.
 """
 from __future__ import annotations
 
@@ -19,8 +29,6 @@ from . import expr as ex
 from .algebra import (
     AlgElem,
     Word,
-    concat,
-    devectorize,
     enumerate_basis,
     phi,
     psi,
@@ -29,7 +37,7 @@ from .algebra import (
     vectorize,
 )
 from .lie import build_lie_basis
-from .linalg import IntEchelon, dot_int, scale_to_int, solve_particular, solve_square
+from .linalg import IntEchelon, scale_to_int, solve_particular, solve_square
 from .series import ControlSystem, SeriesComputer, SeriesTable
 
 DEFAULT_MAX_ORDER = 13
@@ -95,13 +103,12 @@ class CoreDecomposition:
 @dataclass
 class IdealBlock:
     order: int
-    dim: int
-    rows: list  # independent AlgElem rows, generation order
-    echelon: IntEchelon
+    dim: int  # number of words of this order
+    complement: list  # AlgElem basis of the orthogonal complement of J here
 
     @property
     def rank(self) -> int:
-        return self.echelon.rank
+        return self.dim - len(self.complement)
 
 
 @dataclass
@@ -222,70 +229,64 @@ def select_core(table: SeriesTable, basis: list, n: int) -> CoreDecomposition:
     raise NotAccessibleError(n, table.N, len(ell))
 
 
+def _inner(e1: AlgElem, e2: AlgElem) -> Fraction:
+    """Inner product in which the words are orthonormal."""
+    if len(e1.terms) > len(e2.terms):
+        e1, e2 = e2, e1
+    get = e2.terms.get
+    return sum((c * get(w, 0) for w, c in e1.terms.items()), Fraction(0))
+
+
+def _combine(coeffs, elems: list) -> AlgElem:
+    terms: dict = {}
+    for c, e in zip(coeffs, elems):
+        if c:
+            for w, cw in e.terms.items():
+                terms[w] = terms.get(w, 0) + c * cw
+    return AlgElem(terms)
+
+
 def build_ideal_blocks(core: CoreDecomposition) -> dict:
-    """Graded blocks of the right ideal generated by the d's, at each
-    core order: rows d_j (order m) and d_j xi_s (order(s) = m - order(d_j)),
-    dependent rows discarded, earlier rows kept.  Each block's
-    codimension must equal the number of weighted shuffle monomials of
-    its order."""
-    blocks: dict = {}
-    for m in sorted(set(core.weights)):
-        width = len(enumerate_basis(m))
-        ech = IntEchelon(width)
-        rows = []
-        for d in core.dees:
-            if d.order > m:
-                continue
-            if d.order == m:
-                candidates = [d.elem]
-            else:
-                candidates = [
-                    concat(d.elem, AlgElem.from_word(s))
-                    for s in enumerate_basis(m - d.order)
-                ]
-            for r in candidates:
-                if ech.add(scale_to_int(vectorize(r, m))):
-                    rows.append(r)
+    """Orthogonal complement of the right ideal J generated by the d's,
+    order by order up to the largest weight by last-letter recursion,
+    as blocks at the core orders.  At every order the complement's
+    dimension must equal the number of weighted shuffle monomials."""
+    dees: dict = {}
+    for d in core.dees:
+        dees.setdefault(d.order, []).append(d.elem)
+    perp = [[AlgElem.scalar(1)]]  # perp[j]: basis of J^perp_j
+    for m in range(1, max(core.weights) + 1):
+        candidates = [
+            AlgElem({w + (k,): c for w, c in y.terms.items()})
+            for k in range(m)
+            for y in perp[m - k - 1]
+        ]
+        ech = IntEchelon(len(candidates))
+        for d in dees.get(m, ()):
+            ech.add(scale_to_int([_inner(d, y) for y in candidates]))
+        perp.append([_combine(z, candidates) for z in ech.nullspace_basis()])
         expected = len(weighted_multi_indices(core.weights, m))
-        if width - ech.rank != expected:
+        if len(perp[m]) != expected:
             raise InternalConsistencyError(
-                f"ideal block at order {m} has codimension {width - ech.rank}, "
+                f"ideal block at order {m} has codimension {len(perp[m])}, "
                 f"but there are {expected} weighted shuffle monomials"
             )
-        blocks[m] = IdealBlock(m, width, rows, ech)
-    return blocks
+    # 2^(m-1) words of order m
+    return {m: IdealBlock(m, 1 << (m - 1), perp[m]) for m in sorted(set(core.weights))}
 
 
 def project_core(core: CoreDecomposition, blocks: dict) -> list:
-    """Orthogonal projection of each l_i onto the complement of its
-    block's row space, via exact normal equations over a kernel basis."""
+    """Orthogonal projection of each l_i onto the complement basis of its
+    order, by exact normal equations."""
     out = []
-    kernel_cache: dict = {}
     for l in core.ell:
-        m = l.order
-        block = blocks[m]
-        if block.rank == 0:
-            out.append(l.elem)
-            continue
-        if m not in kernel_cache:
-            kernel_cache[m] = block.echelon.nullspace_basis()
-        kernel = kernel_cache[m]
-        if not kernel:
-            raise InternalConsistencyError(
-                f"ideal block at order {m} swallows the whole component"
-            )
-        target = vectorize(l.elem, m)
-        gram = [[dot_int(zi, zj) for zj in kernel] for zi in kernel]
-        rhs = [sum(c * z_k for c, z_k in zip(target, z)) for z in kernel]
-        beta = solve_square(gram, rhs)
-        proj = [
-            sum(bk * Fraction(z[col]) for bk, z in zip(beta, kernel))
-            for col in range(block.dim)
-        ]
-        ltilde = devectorize(proj, m)
+        basis = blocks[l.order].complement
+        gram = [[_inner(u, v) for v in basis] for u in basis]
+        beta = solve_square(gram, [_inner(l.elem, u) for u in basis])
+        ltilde = _combine(beta, basis)
         if ltilde.is_zero():
             raise InternalConsistencyError(
-                f"projected core element at order {m} vanished"
+                f"projected core element at order {l.order} vanished"
             )
         out.append(ltilde)
     return out

@@ -37,10 +37,6 @@ def scale_to_int(vec) -> list:
     return primitive([c.numerator * (lcm // c.denominator) if c else 0 for c in vec])
 
 
-def dot_int(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 class IntEchelon:
     """Incremental fraction-free row reduction over the integers.
 

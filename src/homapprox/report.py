@@ -109,7 +109,7 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
         blk = result.blocks[m]
         lines.append(
             f"  order {m}: rank {blk.rank} in dimension {blk.dim}"
-            f" ({len(blk.rows)} independent rows)"
+            f" ({blk.rank} independent rows)"
         )
     lines.append("")
     lines.append("Projected core elements:")

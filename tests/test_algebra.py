@@ -11,7 +11,6 @@ from homapprox.algebra import (
     AlgElem,
     basis_index,
     concat,
-    devectorize,
     enumerate_basis,
     phi,
     psi,
@@ -102,7 +101,6 @@ def test_elem_arithmetic_and_vectorize():
     assert orders(e) == {3}
     v = vectorize(e, 3)
     assert v == [0, 1, -2, 0]
-    assert devectorize(v, 3) == e
     mixed = xi(0) + xi(1)
     assert orders(mixed) == {1, 2}
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from homapprox.approx import (
 from homapprox.approx import InternalConsistencyError
 from homapprox.lie import build_lie_basis
 from homapprox.series import SeriesComputer, system_from_strings
-from rowspace import row_space_canonical
+from rowspace import row_space_canonical, spans_ideal_block
 
 F = Fraction
 
@@ -94,8 +94,16 @@ def test_ideal_blocks_published(res3):
     assert (blocks[1].rank, blocks[1].dim) == (0, 1)
     assert (blocks[3].rank, blocks[3].dim) == (2, 4)
     assert (blocks[4].rank, blocks[4].dim) == (5, 8)
-    assert blocks[3].rows == [xi(1, 0), 2 * xi(2) + xi(0, 1) - xi(1, 0)]
-    assert blocks[4].rows[:2] == [xi(1, 1), xi(1, 0, 0)]
+    assert blocks[1].complement == [xi(0)]
+    # J_3 = span{xi_10, 2 xi_2 + xi_01 - xi_10}: its complement is
+    # spanned by xi_2 - 2 xi_01 and xi_000
+    assert row_space_canonical(
+        [vectorize(c, 3) for c in blocks[3].complement]
+    ) == row_space_canonical([[1, -2, 0, 0], [0, 0, 0, 1]])
+    # xi_11 = d_1 xi_1 and xi_100 = d_1 xi_00 lie in J_4
+    for r in (xi(1, 1), xi(1, 0, 0)):
+        for c in blocks[4].complement:
+            assert sum(a * b for a, b in zip(vectorize(r, 4), vectorize(c, 4))) == 0
 
 
 def test_ideal_block_spans_match_published_matrices(res3):
@@ -113,8 +121,9 @@ def test_ideal_block_spans_match_published_matrices(res3):
         [0, 6, 0, -6, -1, 2, -1, 0],
     ]
     for m, published in ((3, published_J3), (4, published_J4)):
-        mine = [vectorize(r, m) for r in res3.blocks[m].rows]
-        assert row_space_canonical(mine) == row_space_canonical(published)
+        assert spans_ideal_block(published, res3.blocks[m])
+    # one row short of J_4 no longer spans it
+    assert not spans_ideal_block(published_J4[:4], res3.blocks[4])
 
 
 def test_block_complement_dimension_counts_monomials(res3, res_drift, res_deep):
@@ -126,10 +135,11 @@ def test_block_complement_dimension_counts_monomials(res3, res_drift, res_deep):
 
 
 def test_blocks_check_codimension_at_runtime(res3):
-    # without ideal generators the order-3 block is empty: codimension 4,
-    # but weights (1, 3, 4) give only 2 shuffle monomials of order 3
+    # without ideal generators J is 0 and the complement at order 2 is
+    # all of it: codimension 2 (xi_1 and xi_00), but weights (1, 3, 4)
+    # give only one shuffle monomial of order 2
     core = dataclasses.replace(res3.core, dees=[])
-    with pytest.raises(InternalConsistencyError, match="codimension 4"):
+    with pytest.raises(InternalConsistencyError, match="order 2 has codimension 2,"):
         build_ideal_blocks(core)
 
 
@@ -150,19 +160,16 @@ def test_projection_published(res3):
 def test_projection_orthogonal_and_in_span(res3, res_drift, res_deep):
     for res in (res3, res_drift, res_deep):
         for l, ltilde in zip(res.core.ell, res.projected):
-            block = res.blocks[l.order]
-            tv = vectorize(ltilde, l.order)
-            for row in block.rows:
-                rv = vectorize(row, l.order)
-                assert sum(a * b for a, b in zip(rv, tv)) == 0
-            residual = l.elem - ltilde
-            if residual.is_zero():
-                continue
-            from homapprox.linalg import scale_to_int
-
-            assert not any(
-                block.echelon.reduce(scale_to_int(vectorize(residual, l.order)))
+            m = l.order
+            complement = [vectorize(c, m) for c in res.blocks[m].complement]
+            # l~ lies in the span of the complement
+            assert row_space_canonical(complement) == row_space_canonical(
+                complement + [vectorize(ltilde, m)]
             )
+            # l - l~ is orthogonal to it
+            rv = vectorize(l.elem - ltilde, m)
+            for c in complement:
+                assert sum(a * b for a, b in zip(rv, c)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
 """Properties of the whole pipeline on random accessible polynomial
-systems: the output's own series reproduces the projections, and the
-non-autonomous approximation is a fixed point of `approximate`."""
+systems: the output's own series reproduces the projections, the
+non-autonomous approximation is a fixed point of `approximate`, and the
+dense graded blocks of the ideal have the codimension the theory gives."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homapprox.approx import NotAccessibleError, approximate, check_self_consistency
+from homapprox.algebra import AlgElem, concat, enumerate_basis, vectorize
+from homapprox.approx import (
+    NotAccessibleError,
+    approximate,
+    check_self_consistency,
+    weighted_multi_indices,
+)
 from homapprox.series import system_from_strings
+from rowspace import row_space_canonical
 
 
 def monomials(n, need_state):
@@ -41,6 +49,17 @@ def test_random_accessible_systems(case):
     except NotAccessibleError:
         assume(False)
     check_self_consistency(res)
+    for m in range(1, max(res.weights) + 1):
+        rows = [
+            vectorize(concat(d.elem, AlgElem.from_word(s)), m)
+            for d in res.core.dees
+            if d.order <= m
+            for s in (enumerate_basis(m - d.order) if d.order < m else [()])
+        ]
+        codim = len(enumerate_basis(m)) - len(row_space_canonical(rows))
+        assert codim == len(weighted_multi_indices(res.weights, m)), m
+        if m in res.blocks:
+            assert len(res.blocks[m].complement) == codim, m
     again = approximate(res.nonautonomous.to_control_system(), max_order)
     assert again.weights == res.weights
     assert again.nonautonomous.a == res.nonautonomous.a

@@ -180,6 +180,16 @@ def test_main_maps_evaluation_errors_past_the_parser(tmp_path, capsys, monkeypat
     assert "division by zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_main_looks_up_the_renderer_at_call_time(ex1_file, capsys, monkeypatch, fmt):
+    # a renderer rebound on the report module, as a tracing wrapper does,
+    # is the one that runs
+    stub = lambda result, mode, verification: f"stub {fmt}"  # noqa: E731
+    monkeypatch.setattr(f"homapprox.report.render_{fmt}", stub)
+    main(["--input", str(ex1_file), "--format", fmt])
+    assert capsys.readouterr().out == f"stub {fmt}\n"
+
+
 ACCESSIBLE = "n = 2\na1 = 0\na2 = x1^2\nb1 = 1\nb2 = 0\n"
 
 

@@ -4,7 +4,9 @@
 `homapprox --input <system> --format text` (or `--format latex`) prints
 in the default mode, for systems of the benchmark suite under
 `perfbench/systems/` and for a one-state system whose autonomous witness
-has index 1.  Regenerate a golden only when a report change is intended.
+has index 1.  `tests/golden/deep12.json` holds the JSON report of an
+order-12 system, one order past the deepest benchmark system.
+Regenerate a golden only when a report change is intended.
 """
 from functools import lru_cache
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 from homapprox import approx as ap
 from homapprox import report as rp
-from homapprox.cli import parse_system_file
+from homapprox.cli import EXIT_OK, main, parse_system_file
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -21,6 +23,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_SYSTEMS = ("sys3", "sys3_drift", "mixed4", "rat3", "rat5", "quot", "deep7")
 # phi(l~_1) is the witness, so it is no shuffle polynomial in constants
 WITNESS1 = "n = 1\na1 = 0\nb1 = t\n"
+# second state reachable only through an order-12 bracket
+DEEP12 = "n = 2\na1 = 0\na2 = x1^11\nb1 = 1\nb2 = 0\n"
 
 RENDERERS = {"txt": rp.render_text, "tex": rp.render_latex}
 
@@ -40,3 +44,10 @@ def test_report_matches_golden(name, ext):
     # the CLI prints the report followed by one newline
     got = RENDERERS[ext](_result(name)) + "\n"
     assert got == (GOLDEN / f"{name}.{ext}").read_text()
+
+
+def test_deep12_json_report_matches_golden(tmp_path, capsys):
+    path = tmp_path / "deep12.txt"
+    path.write_text(DEEP12)
+    assert main(["--input", str(path), "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "deep12.json").read_text()
