@@ -1,13 +1,13 @@
 """Homogeneous approximation pipeline.
 
-From the moment series of a system the pipeline selects the core Lie
-elements l_1..l_n (whose images under v are independent) together with
-correction elements d_j generating a right ideal J, projects each l_i
-onto the orthogonal complement of J in its order, and reconstructs
-polynomial approximating systems from the projected elements: always a
-non-autonomous one, and an autonomous one exactly when the phi/psi
-images of every projected element are shuffle polynomials in the
-previous ones.
+From the moment series of a system the pipeline selects, in one pass
+over the orders, the core Lie elements l_1..l_n (whose images under v
+are independent) together with correction elements d_j generating a
+right ideal J, projects each l_i onto the orthogonal complement of J in
+its order, and reconstructs polynomial approximating systems from the
+projected elements: always a non-autonomous one, and an autonomous one
+exactly when the phi/psi images of every projected element are shuffle
+polynomials in the previous ones.
 
 The complement is built order by order from its last letters, never from
 the 2^(m-1)-wide graded blocks of J: right multiplication by a letter is
@@ -170,7 +170,6 @@ class ApproximationResult:
     system: ControlSystem
     N: int
     table: SeriesTable
-    basis: list
     core: CoreDecomposition
     blocks: dict
     projected: list  # l~_i as AlgElem, same order as core.ell
@@ -189,17 +188,21 @@ def _leading_coeff(e: AlgElem) -> Fraction:
     return e.terms[e.support()[0]]
 
 
-def select_core(table: SeriesTable, basis: list, n: int) -> CoreDecomposition:
+def select_core(computer: SeriesComputer, n: int, max_order: int) -> tuple:
     """Split the Lie basis into core elements l (independent v-images)
-    and corrected ideal generators d, scanning order by order."""
+    and corrected ideal generators d in one pass over the orders, growing
+    the series table from order min(n, max_order) until n l's are found.
+    Returns (core, table)."""
+    table = computer.table_up_to(min(n, max_order))
     ell: list = []
     dees: list = []
     ech = IntEchelon(n)
-    by_order: dict = {}
-    for g in basis:
-        by_order.setdefault(g.order, []).append(g)
-    for m in range(1, table.N + 1):
-        for g in by_order.get(m, []):
+    scanned = 0
+    for m in range(1, max_order + 1):
+        if table.N < m:
+            table = computer.table_up_to(m)
+        basis = build_lie_basis(m)
+        for g in basis[scanned:]:
             vec = table.v_elem(g.expansion)
             if len(ell) < n and ech.add(scale_to_int(vec)):
                 ell.append(CoreElement(g.index, g.word, g.expansion, m, vec))
@@ -224,8 +227,9 @@ def select_core(table: SeriesTable, basis: list, n: int) -> CoreDecomposition:
                 d_elem = -d_elem
                 combo = [(-c, i) for c, i in combo]
             dees.append(IdealGenerator(d_elem, m, tuple(combo)))
+        scanned = len(basis)
         if len(ell) == n:
-            return CoreDecomposition(n, ell, dees)
+            return CoreDecomposition(n, ell, dees), table
     raise NotAccessibleError(n, table.N, len(ell))
 
 
@@ -427,29 +431,17 @@ def build_autonomous(core: CoreDecomposition, projected: list):
 def approximate(
     sys: ControlSystem, max_order: int = DEFAULT_MAX_ORDER
 ) -> ApproximationResult:
-    """Full pipeline with iterative deepening of the series order N,
-    starting at n and capped at max_order."""
-    computer = SeriesComputer(sys)
-    N = min(max(1, sys.n), max_order)
-    while True:
-        basis = build_lie_basis(N)
-        table = computer.table_up_to(N)
-        try:
-            core = select_core(table, basis, sys.n)
-            break
-        except NotAccessibleError:
-            if N >= max_order:
-                raise
-            N += 1
+    """Full pipeline; N is the order of the series table on which
+    select_core completed the core (at least min(n, max_order))."""
+    core, table = select_core(SeriesComputer(sys), sys.n, max_order)
     blocks = build_ideal_blocks(core)
     projected = project_core(core, blocks)
     nonautonomous = build_nonautonomous(core, projected)
     autonomous = build_autonomous(core, projected)
     return ApproximationResult(
         system=sys,
-        N=N,
+        N=table.N,
         table=table,
-        basis=basis,
         core=core,
         blocks=blocks,
         projected=projected,

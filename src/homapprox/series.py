@@ -184,14 +184,20 @@ class JetSystem:
             return _nonzero(out)
         if isinstance(e, ex.Neg):
             return {k: -c for k, c in self.expand(e.arg).items()}
-        if isinstance(e, (ex.Prod, ex.Pow)):
-            if isinstance(e, ex.Prod):
-                factors = [self._items(f) for f in e.factors]
-            else:
-                factors = [self._items(e.base)] * e.exponent
+        if isinstance(e, ex.Prod):
             out = {0: 1}
-            for g in factors:
-                out = self._mul(out, g, self.D)
+            for f in e.factors:
+                out = self._mul(out, self._items(f), self.D)
+            return out
+        if isinstance(e, ex.Pow):
+            # square and multiply: about 2*log2(exponent) truncated products
+            out, square, k = {0: 1}, self.expand(e.base), e.exponent
+            while k:
+                if k & 1:
+                    out = self._mul(out, sorted(square.items()), self.D)
+                k >>= 1
+                if k:
+                    square = self._mul(square, sorted(square.items()), self.D)
             return out
         if isinstance(e, ex.Quot):
             den = self.expand(e.den)
@@ -271,8 +277,9 @@ class SeriesTable:
             if w == ():
                 raise ValueError("moment functional is undefined on scalars")
             vw = self.v(w)
-            for i in range(self.n):
-                acc[i] += c * vw[i]
+            if w in self.coeffs:  # every other word has v = 0
+                for i in range(self.n):
+                    acc[i] += c * vw[i]
         return tuple(acc)
 
     def nonzero_items(self) -> list:

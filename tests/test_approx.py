@@ -18,7 +18,7 @@ from homapprox.approx import (
 )
 from homapprox.approx import InternalConsistencyError
 from homapprox.lie import build_lie_basis
-from homapprox.series import SeriesComputer, system_from_strings
+from homapprox.series import SeriesComputer, SeriesTable, system_from_strings
 from rowspace import row_space_canonical, spans_ideal_block
 
 F = Fraction
@@ -47,8 +47,8 @@ def res_deep(sys_deep):
 # core selection
 
 def test_core_selection_published(sys3):
-    table = SeriesComputer(sys3).table_up_to(4)
-    core = select_core(table, build_lie_basis(4), 3)
+    core, table = select_core(SeriesComputer(sys3), 3, 4)
+    assert table.N == 4
     assert [l.index for l in core.ell] == [1, 3, 6]
     assert [l.elem for l in core.ell] == [xi(0), xi(2), xi(0, 2) - xi(2, 0)]
     assert core.weights == (1, 3, 4)
@@ -70,11 +70,32 @@ def test_core_selection_published(sys3):
 
 
 def test_core_selection_changed(sys3_drift):
-    table = SeriesComputer(sys3_drift).table_up_to(4)
-    core = select_core(table, build_lie_basis(4), 3)
+    core, table = select_core(SeriesComputer(sys3_drift), 3, 4)
+    assert table.N == 4
     assert [l.index for l in core.ell] == [1, 4, 6]
     assert core.ell[1].elem == xi(0, 1) - xi(1, 0)
     assert core.weights == (1, 3, 4)
+
+
+def test_core_complete_below_n_keeps_the_series_at_order_n():
+    # weights (1, 2, 3, 3): the core is complete at order 3 < n = 4
+    early4 = system_from_strings(4, ["0", "x1", "x2", "x1^2"], ["1", "0", "0", "0"])
+    res = approximate(early4)
+    assert res.weights == (1, 2, 3, 3)
+    assert res.N == 4
+    assert {d.order for d in res.core.dees} <= {1, 2, 3}
+
+
+def test_each_basis_element_is_scanned_once(monkeypatch):
+    deep7 = system_from_strings(2, ["0", "x1^6"], ["1", "0"])
+    scanned = []
+    v_elem = SeriesTable.v_elem
+    monkeypatch.setattr(
+        SeriesTable, "v_elem", lambda table, e: scanned.append(e) or v_elem(table, e)
+    )
+    res = approximate(deep7)
+    assert res.N == 7
+    assert len(scanned) == len(build_lie_basis(res.N)) == 40
 
 
 def test_not_accessible_without_control():

@@ -273,6 +273,17 @@ def test_main_not_accessible(tmp_path, capsys):
     assert "not accessible" in capsys.readouterr().err
 
 
+def test_main_huge_power_of_a_state_has_the_zero_jet(tmp_path, capsys):
+    # x1^k vanishes to order k, so past the jet degree it is the zero jet
+    p = tmp_path / "huge.txt"
+    p.write_text("n = 1\na1 = 0\nb1 = x1^99999999999\n")
+    code = main(["--input", str(p), "--max-order", "4"])
+    assert code == EXIT_NOT_ACCESSIBLE
+    err = capsys.readouterr().err
+    assert "not accessible" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_runs(ex1_file):
     proc = subprocess.run(
         [sys.executable, "-m", "homapprox.cli", "--input", str(ex1_file)],

@@ -5,7 +5,8 @@
 in the default mode, for systems of the benchmark suite under
 `perfbench/systems/` and for a one-state system whose autonomous witness
 has index 1.  `tests/golden/deep12.json` holds the JSON report of an
-order-12 system, one order past the deepest benchmark system.
+order-12 system, one order past the deepest benchmark system, and
+`early4.json` that of a system whose core is complete at order 3 < n.
 Regenerate a golden only when a report change is intended.
 """
 from functools import lru_cache
@@ -25,6 +26,8 @@ BENCH_SYSTEMS = ("sys3", "sys3_drift", "mixed4", "rat3", "rat5", "quot", "deep7"
 WITNESS1 = "n = 1\na1 = 0\nb1 = t\n"
 # second state reachable only through an order-12 bracket
 DEEP12 = "n = 2\na1 = 0\na2 = x1^11\nb1 = 1\nb2 = 0\n"
+# weights (1, 2, 3, 3), so the series stops at N = n = 4
+EARLY4 = "n = 4\na1 = 0\na2 = x1\na3 = x2\na4 = x1^2\nb1 = 1\nb2 = 0\nb3 = 0\nb4 = 0\n"
 
 RENDERERS = {"txt": rp.render_text, "tex": rp.render_latex}
 
@@ -47,7 +50,8 @@ def test_report_matches_golden(name, ext):
 
 
 def test_deep12_json_report_matches_golden(tmp_path, capsys):
-    path = tmp_path / "deep12.txt"
-    path.write_text(DEEP12)
-    assert main(["--input", str(path), "--format", "json"]) == EXIT_OK
-    assert capsys.readouterr().out == (GOLDEN / "deep12.json").read_text()
+    for name, text in (("deep12", DEEP12), ("early4", EARLY4)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        assert main(["--input", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(), name

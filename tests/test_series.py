@@ -179,6 +179,14 @@ def test_jets_reject_components_undefined_at_origin(b1, error):
         SeriesComputer(sys).table_up_to(2)
 
 
+@pytest.mark.parametrize("base", ["x1", "1 + x1 - t*x2", "2 - sin(x2)", "t + x1*x2"])
+def test_power_jet_matches_repeated_product(base):
+    b = ex.simplify(ex.parse_expr(base, 2))
+    jets = JetSystem(system_from_strings(2, ["0", "0"], ["1", "0"]), 6)
+    for k in range(13):
+        assert jets.expand(ex.Pow(b, k)) == jets.expand(ex.Prod((b,) * k)), k
+
+
 def test_json_encoding(sys_scalar):
     data = SeriesComputer(sys_scalar).table_up_to(3).to_json()
     assert data == [{"word": [0], "coeff": ["-1"]}]
