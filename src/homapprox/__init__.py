@@ -1,5 +1,17 @@
 """Exact homogeneous approximations of single-input control-affine systems."""
 
+# expr first: without cached bytecode every module is compiled on import, and
+# compiling the largest one before the others are loaded keeps start-up memory low
+from .expr import (
+    Expr,
+    ExprSyntaxError,
+    differentiate,
+    eval_at_origin,
+    eval_float,
+    expr_to_str,
+    parse_expr,
+    simplify,
+)
 from .algebra import (
     AlgElem,
     concat,
@@ -27,16 +39,6 @@ from .approx import (
     express_as_shuffle_poly,
     project_core,
     select_core,
-)
-from .expr import (
-    Expr,
-    ExprSyntaxError,
-    differentiate,
-    eval_at_origin,
-    eval_float,
-    expr_to_str,
-    parse_expr,
-    simplify,
 )
 from .lie import (
     LieBasisElement,

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from . import expr as ex
 from .algebra import (
     AlgElem,
     Word,
@@ -38,7 +37,7 @@ from .algebra import (
 )
 from .lie import build_lie_basis
 from .linalg import IntEchelon, scale_to_int, solve_particular, solve_square
-from .series import ControlSystem, SeriesComputer, SeriesTable
+from .series import ControlSystem, SeriesComputer, SeriesTable, validate_equilibrium
 
 DEFAULT_MAX_ORDER = 13
 
@@ -132,37 +131,15 @@ class NoAutonomousApproximation:
     order: int
 
 
-Monomial = tuple  # (t_power, (x1_power, ..., xn_power))
-
-
-def polynomial_expr(comp: dict) -> ex.Expr:
-    """Expr of a monomial -> coefficient map, monomials ascending."""
-    terms = []
-    for (t_pow, x_pows), c in sorted(comp.items()):
-        factors = [ex.Const(c)]
-        if t_pow:
-            factors.append(ex.mk_pow(ex.T, t_pow))
-        for j, q in enumerate(x_pows):
-            if q:
-                factors.append(ex.mk_pow(ex.Var(j + 1), q))
-        terms.append(ex.mk_prod(factors))
-    return ex.mk_sum(terms)
-
-
 @dataclass
 class PolynomialSystem:
     """dx_i/dt = a_i(t,x) + b_i(t,x) u with polynomial components stored
-    as monomial -> coefficient maps."""
+    as {(t_power, (x1_power, ..., xn_power)): coefficient} maps."""
 
     n: int
     weights: tuple
     a: list
     b: list
-
-    def to_control_system(self) -> ControlSystem:
-        a = tuple(polynomial_expr(c) for c in self.a)
-        b = tuple(polynomial_expr(c) for c in self.b)
-        return ControlSystem(self.n, a, b)
 
 
 @dataclass
@@ -432,7 +409,9 @@ def approximate(
     sys: ControlSystem, max_order: int = DEFAULT_MAX_ORDER
 ) -> ApproximationResult:
     """Full pipeline; N is the order of the series table on which
-    select_core completed the core (at least min(n, max_order))."""
+    select_core completed the core (at least min(n, max_order)).  Raises
+    EquilibriumError unless the origin is certified an equilibrium."""
+    validate_equilibrium(sys)
     core, table = select_core(SeriesComputer(sys), sys.n, max_order)
     blocks = build_ideal_blocks(core)
     projected = project_core(core, blocks)
@@ -453,13 +432,12 @@ def approximate(
 def check_self_consistency(result: ApproximationResult) -> None:
     """The output system's own series must reproduce each l~_k exactly at
     order w_k in component k and vanish at all lower orders."""
-    approx_sys = result.nonautonomous.to_control_system()
-    computer = SeriesComputer(approx_sys)
+    table = SeriesComputer(result.nonautonomous).table_up_to(max(result.weights))
     for k, (l, ltilde) in enumerate(zip(result.core.ell, result.projected)):
         w_k = l.order
         for m in range(1, w_k + 1):
             for word in enumerate_basis(m):
-                got = computer.moment_vector(word)[k]
+                got = table.v(word)[k]
                 want = ltilde.coeff(word) if m == w_k else Fraction(0)
                 if got != want:
                     raise InternalConsistencyError(

@@ -137,7 +137,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)  # exact coefficients have any length
+    try:
+        return _run(build_arg_parser().parse_args(argv))
+    finally:
+        _sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     if args.max_order < 1:
         print("error: --max-order must be >= 1", file=_sys.stderr)
         return EXIT_INPUT
@@ -169,7 +177,7 @@ def main(argv=None) -> int:
 
     try:
         verification = run_verification(result) if args.verify else None
-    except vf.VerificationError as err:
+    except (vf.VerificationError, OverflowError) as err:
         print(f"error: --verify: {err}", file=_sys.stderr)
         return EXIT_INPUT
     rendered = getattr(rp, f"render_{args.format}")(result, args.mode, verification)

@@ -10,16 +10,28 @@ import json
 
 from . import expr as ex
 from .algebra import AlgElem, scaled, signed_sum
-from .approx import ApproximationResult, PolynomialSystem, polynomial_expr
+from .approx import ApproximationResult, PolynomialSystem
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
+def _polynomial(comp: dict, x: str, power: str, times: str) -> str:
+    """Monomial map as a signed sum ascending by (t_power, x_powers), with
+    x_j written `x`.format(j), base^q `power`.format(base, q), and `times`."""
+    def monomial(t_pow, x_pows):
+        powers = [("t", t_pow)] + [(x.format(j + 1), q) for j, q in enumerate(x_pows)]
+        return times.join(b if q == 1 else power.format(b, q) for b, q in powers if q)
+
+    return signed_sum([scaled(c, monomial(*k), times) for k, c in sorted(comp.items())])
+
+
 def polynomial_str(comp: dict) -> str:
-    if not comp:
-        return "0"
-    return ex.render(polynomial_expr(comp))
+    return _polynomial(comp, "x{}", "{}^{}", "*")
+
+
+def polynomial_latex(comp: dict) -> str:
+    return _polynomial(comp, "x_{}", "{}^{{{}}}", r"\,")
 
 
 def polynomial_json(comp: dict) -> list:
@@ -31,16 +43,6 @@ def polynomial_json(comp: dict) -> list:
 
 def elem_latex(e: AlgElem) -> str:
     return e.render(lambda w: r"\xi_{" + r"\,".join(map(str, w)) + "}", r"\,")
-
-
-def polynomial_latex(comp: dict) -> str:
-    def monomial(t_pow, x_pows):
-        powers = [("t", t_pow)] + [(f"x_{j + 1}", q) for j, q in enumerate(x_pows)]
-        return r"\,".join(b if q == 1 else f"{b}^{{{q}}}" for b, q in powers if q)
-
-    return signed_sum(
-        [scaled(c, monomial(*k), r"\,") for k, c in sorted(comp.items())]
-    )
 
 
 def _system_lines(system, render, control: str, line: str) -> list:

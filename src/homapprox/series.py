@@ -110,7 +110,7 @@ def _series_coeffs(name: str, D: int) -> list:
 
 class JetSystem:
     """A control system as Taylor jets at the origin, truncated at total
-    degree D in (t, x1..xn).
+    degree D in (t, x1..xn); its components are Exprs or monomial maps.
 
     A jet is a dict from packed monomials to nonzero rational
     coefficients.  The monomial t^e0 x1^e1 ... xn^en of total degree d
@@ -124,7 +124,7 @@ class JetSystem:
     sorted item list.
     """
 
-    def __init__(self, sys: ControlSystem, D: int):
+    def __init__(self, sys, D: int):
         self.D = D
         self._base = D + 1
         self._unit = tuple(self._base**i for i in range(sys.n + 1))
@@ -133,7 +133,7 @@ class JetSystem:
         self.R_a = ([(0, 1)],) + tuple(self._items(f) for f in sys.a)
         self.R_b = ([],) + tuple(self._items(f) for f in sys.b)
 
-    def _items(self, e: ex.Expr) -> list:
+    def _items(self, e) -> list:
         return sorted(self.expand(e).items())
 
     def _limit(self, degree: int) -> int:
@@ -163,14 +163,22 @@ class JetSystem:
                 out[0] = c
         return out
 
-    def expand(self, e: ex.Expr) -> dict:
-        """Jet of an expression, exact up to total degree D.
+    def expand(self, e) -> dict:
+        """Jet of an expression or a monomial map, exact up to total degree D.
 
         Like `ex.eval_at_origin`, raises ex.DivisionByZeroError for a
         denominator that vanishes at the origin and
         ex.NonzeroTranscendentalError for sin/cos/exp of an argument that
         does not.
         """
+        if isinstance(e, dict):
+            # a monomial map; each power of variable i adds B^i + B^(n+1) to the key
+            step = [u + self._degree_unit for u in self._unit]
+            return {
+                sum(q * s for q, s in zip((t, *xs), step)): _int_if_integral(c)
+                for (t, xs), c in e.items()
+                if t + sum(xs) <= self.D
+            }
         if isinstance(e, ex.Const):
             c = _int_if_integral(e.value)
             return {0: c} if c else {}
@@ -305,11 +313,11 @@ class SeriesComputer:
     memoized by (ad power, suffix word, R_a power).  Asking for an order
     above D rebuilds the jets at that order and drops the memos, whose
     truncation no longer fits; the exact moment vectors are kept.
-    `table_up_to` drops the memos when it returns.
+    `table_up_to` drops the memos when it returns.  It takes a
+    PolynomialSystem as it stands; `approximate` certifies the equilibrium.
     """
 
-    def __init__(self, sys: ControlSystem):
-        validate_equilibrium(sys)
+    def __init__(self, sys):
         self.sys = sys
         self._jets = None
         self._vectors: dict = {}

@@ -15,6 +15,7 @@ from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
 from homapprox import lie as lie_mod
 from homapprox.series import SeriesComputer
 from homapprox.verify import max_shuffle_residual, order_check, random_control
+from reparse import reparsed
 from rowspace import spans_ideal_block
 
 F = Fraction
@@ -189,11 +190,11 @@ def test_criterion_7_self_consistency(sys3, sys3_drift):
         check_self_consistency(res)
         check_self_consistency(res2)
         # idempotence on the published non-autonomous output
-        again = approximate(res.nonautonomous.to_control_system())
+        again = approximate(reparsed(res.nonautonomous))
         assert again.nonautonomous.a == res.nonautonomous.a
         assert again.nonautonomous.b == res.nonautonomous.b
         # and on the published autonomous output
-        again2 = approximate(res2.autonomous.to_control_system())
+        again2 = approximate(reparsed(res2.autonomous))
         assert again2.autonomous_exists()
         assert again2.autonomous.a == res2.autonomous.a
         assert again2.autonomous.b == res2.autonomous.b
@@ -229,7 +230,7 @@ def test_criterion_9_performance_envelope(sys_deep):
         full = time.perf_counter() - start
         assert full < 60.0, f"took {full:.2f} s"
         # the series of the output must also pass a quick numerical check
-        out = res.nonautonomous.to_control_system()
+        out = reparsed(res.nonautonomous)
         computer = SeriesComputer(out)
         for w in enumerate_basis(1):
             assert computer.moment_vector(w)[0] == res.projected[0].coeff(w)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homapprox import expr as ex
+from homapprox import series
 from homapprox.algebra import AlgElem, enumerate_basis, phi, vectorize
 from homapprox.approx import (
     NoAutonomousApproximation,
@@ -19,6 +20,7 @@ from homapprox.approx import (
 from homapprox.approx import InternalConsistencyError
 from homapprox.lie import build_lie_basis
 from homapprox.series import SeriesComputer, SeriesTable, system_from_strings
+from reparse import reparsed
 from rowspace import row_space_canonical, spans_ideal_block
 
 F = Fraction
@@ -278,10 +280,10 @@ def test_changed_system_autonomous_published(res_drift):
 
 
 def test_polynomial_system_expr_roundtrip(res3):
-    ctrl = res3.nonautonomous.to_control_system()
+    ctrl = reparsed(res3.nonautonomous)
     assert ex.expr_to_str(ctrl.a[0]) == "0"
     assert ex.expr_to_str(ctrl.b[0]) == "-1"
-    # the rebuilt symbolic system parses and has matching dimensions
+    # the printed system parses back with matching dimensions
     assert ctrl.n == 3
 
 
@@ -346,6 +348,20 @@ def test_self_consistency(res3, res_drift, res_deep):
         check_self_consistency(res)
 
 
+def test_self_check_builds_its_jets_once(monkeypatch):
+    res = approximate(system_from_strings(2, ["0", "x1^6"], ["1", "0"]))
+    degrees = []
+    original = series.JetSystem
+
+    def counting(system, D):
+        degrees.append(D)
+        return original(system, D)
+
+    monkeypatch.setattr(series, "JetSystem", counting)
+    check_self_consistency(res)
+    assert degrees == [7]
+
+
 def test_self_consistency_detects_corruption(res3):
     broken = dataclasses.replace(
         res3, projected=[res3.projected[0], 2 * res3.projected[1], res3.projected[2]]
@@ -356,14 +372,14 @@ def test_self_consistency_detects_corruption(res3):
 
 def test_idempotence_nonautonomous(res3, res_drift):
     for res in (res3, res_drift):
-        again = approximate(res.nonautonomous.to_control_system())
+        again = approximate(reparsed(res.nonautonomous))
         assert again.weights == res.weights
         assert again.nonautonomous.a == res.nonautonomous.a
         assert again.nonautonomous.b == res.nonautonomous.b
 
 
 def test_idempotence_autonomous(res_drift):
-    again = approximate(res_drift.autonomous.to_control_system())
+    again = approximate(reparsed(res_drift.autonomous))
     assert again.autonomous_exists()
     assert again.autonomous.a == res_drift.autonomous.a
     assert again.autonomous.b == res_drift.autonomous.b
@@ -371,7 +387,7 @@ def test_idempotence_autonomous(res_drift):
 
 def test_output_series_is_projection(res3):
     # the k-th component of the output series at order w_k is exactly l~_k
-    computer = SeriesComputer(res3.nonautonomous.to_control_system())
+    computer = SeriesComputer(reparsed(res3.nonautonomous))
     for k, (l, ltilde) in enumerate(zip(res3.core.ell, res3.projected)):
         for w in enumerate_basis(l.order):
             assert computer.moment_vector(w)[k] == ltilde.coeff(w)

@@ -13,6 +13,7 @@ from homapprox.approx import (
     weighted_multi_indices,
 )
 from homapprox.series import system_from_strings
+from reparse import reparsed
 from rowspace import row_space_canonical
 
 
@@ -60,7 +61,7 @@ def test_random_accessible_systems(case):
         assert codim == len(weighted_multi_indices(res.weights, m)), m
         if m in res.blocks:
             assert len(res.blocks[m].complement) == codim, m
-    again = approximate(res.nonautonomous.to_control_system(), max_order)
+    again = approximate(reparsed(res.nonautonomous), max_order)
     assert again.weights == res.weights
     assert again.nonautonomous.a == res.nonautonomous.a
     assert again.nonautonomous.b == res.nonautonomous.b

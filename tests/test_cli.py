@@ -284,6 +284,39 @@ def test_main_huge_power_of_a_state_has_the_zero_jet(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# the factor 7^2000 has 1691 digits, and report coefficients built from it
+# pass Python's default limit of 4300 digits on int-to-string conversion
+BIG7 = "n = 2\na1 = 0\na2 = x1^6\nb1 = 1 + 7^2000*x1\nb2 = 0\n"
+
+
+def test_main_prints_huge_exact_constants(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    p = tmp_path / "big.txt"
+    p.write_text(BIG7)
+    code = main(["--input", str(p), "--max-order", "7", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert json.loads(captured.out)["weights"] == [1, 7]
+    assert sys.get_int_max_str_digits() == limit
+    p.write_text("n = 1\na1 = 0\nb1 = 1 + " + "9" * 5000 + "*x1\n")
+    code = main(["--input", str(p), "--max-order", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert "9" * 5000 in captured.out
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_main_maps_a_verification_overflow(tmp_path, capsys):
+    # moments with 7^2000 in them overflow a float
+    limit = sys.get_int_max_str_digits()
+    p = tmp_path / "big.txt"
+    p.write_text(BIG7)
+    code = main(["--input", str(p), "--max-order", "7", "--verify"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: --verify: ")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_console_script_runs(ex1_file):
     proc = subprocess.run(
         [sys.executable, "-m", "homapprox.cli", "--input", str(ex1_file)],
@@ -320,8 +353,8 @@ def test_nonautonomous_report_matches_published(ex1_file, capsys):
     main(["--input", str(ex1_file)])
     out = capsys.readouterr().out
     assert "dx1/dt = (-1)*u" in out
-    assert "dx2/dt = (-1/5*t^2 + 2/5*t*x1)*u" in out
-    assert "dx3/dt = (-23/57*x2 - 3/19*x1*t^2 - 4/57*t*x1^2)*u" in out
+    assert "dx2/dt = (2/5*t*x1 - 1/5*t^2)*u" in out
+    assert "dx3/dt = (-23/57*x2 - 4/57*t*x1^2 - 3/19*t^2*x1)*u" in out
 
 
 def test_same_fractions_in_all_formats(ex1_file, capsys):
@@ -392,11 +425,15 @@ def test_verify_flag_adds_section(changed_file, capsys):
 
 def test_polynomial_renderers():
     b2 = {(2, (0, 0, 0)): F(-1, 5), (1, (1, 0, 0)): F(2, 5)}
-    assert polynomial_str(b2) == "-1/5*t^2 + 2/5*t*x1"
+    # both print the monomials ascending by (t_power, x_powers)
+    assert polynomial_str(b2) == "2/5*t*x1 - 1/5*t^2"
     assert polynomial_latex(b2) == r"2/5\,t\,x_1 - 1/5\,t^{2}"
     assert polynomial_str({}) == "0"
     assert polynomial_latex({}) == "0"
     assert polynomial_str({(0, (0, 0)): F(-1)}) == "-1"
+    # a coefficient -1 is a sign, not a factor
+    assert polynomial_str({(1, (0,)): F(-1)}) == "-t"
+    assert polynomial_latex({(1, (0,)): F(-1)}) == "-t"
     assert polynomial_json(b2) == [
         {"t_power": 1, "x_powers": [1, 0, 0], "coeff": "2/5"},
         {"t_power": 2, "x_powers": [0, 0, 0], "coeff": "-1/5"},

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from homapprox import expr as ex
 from homapprox.algebra import enumerate_basis
+from homapprox.approx import approximate
+from homapprox.cli import parse_system_file
 from homapprox.lie import build_lie_basis, expand_right_normed
 from homapprox.series import (
     ControlSystem,
@@ -15,6 +18,9 @@ from homapprox.series import (
     system_from_strings,
     validate_equilibrium,
 )
+from reparse import reparsed
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "perfbench" / "systems"
 
 F = Fraction
 
@@ -187,6 +193,29 @@ def test_power_jet_matches_repeated_product(base):
         assert jets.expand(ex.Pow(b, k)) == jets.expand(ex.Prod((b,) * k)), k
 
 
+def test_monomial_map_jet_drops_monomials_above_its_degree():
+    jets = JetSystem(system_from_strings(2, ["0", "0"], ["1", "0"]), 2)
+    comp = {(0, (0, 0)): 3, (1, (1, 0)): F(1, 2), (0, (0, 2)): -2, (2, (1, 0)): 5}
+    want = jets.expand(ex.simplify(ex.parse_expr("3 + t*x1/2 - 2*x2^2", 2)))
+    assert jets.expand(comp) == want
+    assert len(want) == 3
+
+
+@pytest.mark.parametrize("name", ["sys3", "sys3_drift", "mixed4", "deep7"])
+def test_output_jets_match_the_reparsed_text(name):
+    # the series of an output system read from its monomial maps equals the
+    # series of its printed text; at N = 2 the maps lose their high monomials
+    text = (SYSTEMS / f"{name}.txt").read_text()
+    res = approximate(parse_system_file(text))
+    outputs = [res.nonautonomous]
+    if res.autonomous_exists():
+        outputs.append(res.autonomous)
+    for psys in outputs:
+        for N in (2, max(res.weights)):
+            want = SeriesComputer(reparsed(psys)).table_up_to(N).coeffs
+            assert SeriesComputer(psys).table_up_to(N).coeffs == want, N
+
+
 def test_json_encoding(sys_scalar):
     data = SeriesComputer(sys_scalar).table_up_to(3).to_json()
     assert data == [{"word": [0], "coeff": ["-1"]}]
@@ -204,8 +233,9 @@ def test_equilibrium_rejects_nonzero_drift():
     sys = system_from_strings(1, ["t"], ["1"])
     with pytest.raises(EquilibriumError):
         validate_equilibrium(sys)
+    # the pipeline certifies the equilibrium on entry
     with pytest.raises(EquilibriumError):
-        SeriesComputer(sys)
+        approximate(sys)
 
 
 def test_equilibrium_certifies_by_rational_sampling():

@@ -20,6 +20,7 @@ from homapprox.verify import (
     residual,
     series_prediction,
 )
+from reparse import reparsed
 
 U_ONE = PiecewiseConstantControl((1.0,))
 
@@ -150,7 +151,7 @@ def test_order_check_fails_for_wrong_series(sys3):
 def test_order_check_approximation_output(sys3):
     # the reconstructed polynomial system satisfies its own series too
     res = approximate(sys3)
-    out = res.nonautonomous.to_control_system()
+    out = reparsed(res.nonautonomous)
     table = SeriesComputer(out).table_up_to(4)
     result = order_check(
         out, table, [PiecewiseConstantControl((0.5, -1.0, 1.0, -0.5))]
