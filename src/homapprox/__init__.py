@@ -1,7 +1,8 @@
 """Exact homogeneous approximations of single-input control-affine systems."""
 
-# expr first: without cached bytecode every module is compiled on import, and
-# compiling the largest one before the others are loaded keeps start-up memory low
+# expr (and the algebra it renders with) first: without cached bytecode every
+# module is compiled on import, and compiling the largest one before the others
+# are loaded keeps start-up memory low
 from .expr import (
     Expr,
     ExprSyntaxError,

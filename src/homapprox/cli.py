@@ -77,7 +77,7 @@ def parse_system_file(text: str) -> ControlSystem:
                 raise InputError(f"missing component {key}")
             lineno, value = entries[key]
             try:
-                parsed[key] = ex.simplify(ex.parse_expr(value, n))
+                parsed[key] = ex.parse_expr(value, n)
                 # the series needs every component defined at the origin
                 ex.eval_at_origin(parsed[key])
             except (ex.ExprSyntaxError, ex.EvalError) as err:

@@ -2,9 +2,12 @@
 
 Node kinds cover what analytic control vector fields need: rational
 constants, variables, sums, products, quotients, non-negative integer
-powers, negation and the functions sin, cos, exp.  All structural
-operations (parsing, differentiation, simplification, evaluation at the
-origin) are exact; floating point enters only through ``eval_float``.
+powers and the functions sin, cos, exp; a minus is a product with the
+constant -1.  The parser builds every node through the smart
+constructors, so a parsed tree is already in ``simplify``'s normal form.
+All structural operations (parsing, differentiation, simplification,
+evaluation at the origin) are exact; ``eval_float`` is a plain float
+reference (``--verify`` compiles its own float code in ``verify``).
 """
 from __future__ import annotations
 
@@ -13,6 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
+
+from .algebra import scaled, signed_sum
+
+# nesting levels the parser accepts, one per parenthesis, function call or '/'
+# in a chain: the recursive passes and --verify's generated code (at most 4
+# parentheses a level) stay far from Python's recursion and parenthesis limits
+MAX_DEPTH = 32
+# bits a constant power c^k may take: k times the bit length of c's larger part
+MAX_POWER_BITS = 2**17
 
 
 class ExprError(Exception):
@@ -36,6 +48,10 @@ class DivisionByZeroError(EvalError):
 
 
 class NonzeroTranscendentalError(EvalError):
+    pass
+
+
+class PowerTooLargeError(EvalError):
     pass
 
 
@@ -79,11 +95,6 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, slots=True)
 class Func(Expr):
     name: str
     arg: Expr
@@ -94,12 +105,6 @@ FUNCTIONS = ("sin", "cos", "exp")
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 T = Var(0)
-
-
-def x(i: int) -> Var:
-    if i < 1:
-        raise ValueError("state variables are numbered from 1")
-    return Var(i)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +126,6 @@ def _key(e: Expr) -> str:
         return "6(" + ",".join(_key(f) for f in e.factors) + ")"
     if isinstance(e, Sum):
         return "7(" + ",".join(_key(t) for t in e.terms) + ")"
-    if isinstance(e, Neg):
-        return f"8({_key(e.arg)})"
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -204,7 +207,8 @@ def mk_prod(factors: Iterable[Expr]) -> Expr:
     for exp, base in bases.values():
         if exp == 0:
             continue
-        out.append(base if exp == 1 else Pow(base, exp))
+        # mk_pow, so that a repeated quotient becomes one quotient of powers
+        out.append(base if exp == 1 else mk_pow(base, exp))
     out.sort(key=_key)
     if not out:
         return Const(coeff)
@@ -223,7 +227,7 @@ def mk_pow(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value**exponent)
+        return Const(_const_pow(base.value, exponent))
     if isinstance(base, Pow):
         return mk_pow(base.base, base.exponent * exponent)
     if isinstance(base, Prod):
@@ -231,6 +235,15 @@ def mk_pow(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Quot):
         return mk_quot(mk_pow(base.num, exponent), mk_pow(base.den, exponent))
     return Pow(base, exponent)
+
+
+def _const_pow(c: Fraction, k: int) -> Fraction:
+    if c not in (0, 1, -1) and k * max(
+        c.numerator.bit_length(), c.denominator.bit_length()
+    ) > MAX_POWER_BITS:
+        power = render(Pow(Const(c), k))
+        raise PowerTooLargeError(f"{power} has more than {MAX_POWER_BITS} bits")
+    return c**k
 
 
 def mk_quot(num: Expr, den: Expr) -> Expr:
@@ -268,8 +281,6 @@ def simplify(e: Expr) -> Expr:
         return mk_quot(simplify(e.num), simplify(e.den))
     if isinstance(e, Pow):
         return mk_pow(simplify(e.base), e.exponent)
-    if isinstance(e, Neg):
-        return mk_neg(simplify(e.arg))
     if isinstance(e, Func):
         return mk_func(e.name, simplify(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
@@ -339,8 +350,6 @@ def _subst(e: Expr, idx: int, rep: Expr) -> Expr:
         return Quot(_subst(e.num, idx, rep), _subst(e.den, idx, rep))
     if isinstance(e, Pow):
         return Pow(_subst(e.base, idx, rep), e.exponent)
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, idx, rep))
     if isinstance(e, Func):
         return Func(e.name, _subst(e.arg, idx, rep))
     raise TypeError(f"not an Expr: {e!r}")
@@ -370,9 +379,7 @@ def eval_at_origin(e: Expr) -> Fraction:
             raise DivisionByZeroError("division by zero at the origin")
         return eval_at_origin(e.num) / den
     if isinstance(e, Pow):
-        return eval_at_origin(e.base) ** e.exponent
-    if isinstance(e, Neg):
-        return -eval_at_origin(e.arg)
+        return _const_pow(eval_at_origin(e.base), e.exponent)
     if isinstance(e, Func):
         v = eval_at_origin(e.arg)
         if v != 0:
@@ -400,8 +407,6 @@ def eval_float(e: Expr, t: float, xs) -> float:
         return eval_float(e.num, t, xs) / eval_float(e.den, t, xs)
     if isinstance(e, Pow):
         return eval_float(e.base, t, xs) ** e.exponent
-    if isinstance(e, Neg):
-        return -eval_float(e.arg, t, xs)
     if isinstance(e, Func):
         return getattr(math, e.name)(eval_float(e.arg, t, xs))
     raise TypeError(f"not an Expr: {e!r}")
@@ -425,9 +430,9 @@ def variables(e: Expr) -> set[int]:
         return out
     if isinstance(e, Quot):
         return variables(e.num) | variables(e.den)
-    if isinstance(e, (Pow,)):
+    if isinstance(e, Pow):
         return variables(e.base)
-    if isinstance(e, (Neg, Func)):
+    if isinstance(e, Func):
         return variables(e.arg)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -443,6 +448,8 @@ class _Parser:
         self.text = text
         self.n = n
         self.pos = 0
+        # the nesting level here, and the deepest level of the current chain
+        self.depth = self.peak = 0
 
     def error(self, message: str, pos: int | None = None):
         raise ExprSyntaxError(message, self.pos if pos is None else pos)
@@ -460,6 +467,11 @@ class _Parser:
         self.pos += 1
         return c
 
+    def check_depth(self, pos: int):
+        self.peak = max(self.peak, self.depth)
+        if self.peak > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels", pos)
+
     def parse(self) -> Expr:
         e = self.parse_sum()
         if self.peek():
@@ -468,56 +480,43 @@ class _Parser:
 
     def parse_sum(self) -> Expr:
         terms = [self.parse_term()]
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.take()
-                terms.append(self.parse_term())
-            elif c == "-":
-                self.take()
-                terms.append(_negate_parsed(self.parse_term()))
-            else:
-                break
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        while self.peek() in ("+", "-"):
+            sign = self.take()
+            term = self.parse_term()
+            terms.append(mk_neg(term) if sign == "-" else term)
+        return mk_sum(terms)
 
     def parse_term(self) -> Expr:
         if self.peek() == "-":
             self.take()
-            return _negate_parsed(self.parse_chain())
+            return mk_neg(self.parse_chain())
         return self.parse_chain()
 
     def parse_chain(self) -> Expr:
+        depth, outer_peak = self.depth, self.peak
+        self.peak = depth
         cur = self.parse_postfix()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.take()
-                rhs = self.parse_postfix()
-                if isinstance(cur, Prod):
-                    cur = Prod(cur.factors + (rhs,))
-                else:
-                    cur = Prod((cur, rhs))
-            elif c == "/":
-                self.take()
-                rhs = self.parse_postfix()
-                if (
-                    isinstance(cur, Const)
-                    and isinstance(rhs, Const)
-                    and rhs.value != 0
-                ):
-                    cur = Const(cur.value / rhs.value)
-                else:
-                    cur = Quot(cur, rhs)
-            else:
-                return cur
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                cur = mk_prod((cur, self.parse_postfix()))
+                continue
+            # a quotient nests the chain so far, and the rest, one level deeper
+            self.depth += 1
+            self.peak += 1
+            self.check_depth(self.pos - 1)
+            cur = mk_quot(cur, self.parse_postfix())
+        self.depth, self.peak = depth, max(outer_peak, self.peak)
+        return cur
 
     def parse_postfix(self) -> Expr:
         e = self.parse_atom()
         while self.peek() == "^":
+            caret = self.pos
             self.take()
-            e = Pow(e, self.parse_exponent())
+            try:
+                e = mk_pow(e, self.parse_exponent())
+            except PowerTooLargeError as err:
+                self.error(str(err), caret)
         return e
 
     def parse_exponent(self) -> int:
@@ -536,11 +535,7 @@ class _Parser:
         start = self.pos
         if c == "(":
             self.take()
-            e = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return e
+            return self.parse_group(start)
         if c.isdigit():
             return self.parse_number()
         if c.isalpha():
@@ -548,6 +543,17 @@ class _Parser:
         if c == "":
             self.error("unexpected end of input", start)
         self.error(f"unexpected character {c!r}", start)
+
+    def parse_group(self, start: int) -> Expr:
+        """The sum after an opening parenthesis, one level deeper."""
+        self.depth += 1
+        self.check_depth(start)
+        e = self.parse_sum()
+        if self.peek() != ")":
+            self.error("expected ')'")
+        self.take()
+        self.depth -= 1
+        return e
 
     def parse_number(self) -> Const:
         self.skip_ws()
@@ -572,11 +578,7 @@ class _Parser:
             if self.peek() != "(":
                 self.error(f"{name} requires a parenthesized argument", start)
             self.take()
-            arg = self.parse_sum()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return Func(name, arg)
+            return mk_func(name, self.parse_group(start))
         if name == "t":
             return T
         if name.startswith("x") and name[1:].isdigit():
@@ -587,28 +589,16 @@ class _Parser:
         self.error(f"unknown identifier {name!r}", start)
 
 
-def _negate_parsed(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Prod) and isinstance(e.factors[0], Const):
-        return Prod((Const(-e.factors[0].value),) + e.factors[1:])
-    if isinstance(e, Quot):
-        # -n/d means (-n)/d; fold the sign when the numerator absorbs it
-        folded = _negate_parsed(e.num)
-        if not isinstance(folded, Neg):
-            return Quot(folded, e.den)
-    return Neg(e)
-
-
 def parse_expr(text: str, n: int = 10) -> Expr:
     """Parse the ASCII grammar: +, -, *, /, ^k, parentheses, sin/cos/exp,
     integer/rational/decimal literals, variables t and x1..xn.  There is
-    no implicit multiplication."""
+    no implicit multiplication.  The tree is built by the smart
+    constructors, so it is its own ``simplify``."""
     return _Parser(text, n).parse()
 
 
 # ---------------------------------------------------------------------------
-# rendering; render(simplify(e)) reparses to exactly simplify(e)
+# rendering; parse_expr(render(e)) == e for every simplified e
 
 def _is_pow_atom(e: Expr) -> bool:
     if isinstance(e, (Var, Func)):
@@ -628,45 +618,27 @@ def render(e: Expr) -> str:
         if not _is_pow_atom(e.base):
             base = f"({base})"
         return f"{base}^{e.exponent}"
-    if isinstance(e, Neg):
-        inner = render(e.arg)
-        if isinstance(e.arg, Sum) or inner.startswith("-"):
-            inner = f"({inner})"
-        return f"-{inner}"
     if isinstance(e, Prod):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            s = render(f)
-            if isinstance(f, (Sum, Quot)) or (i > 0 and s.startswith("-")):
-                s = f"({s})"
-            pieces.append(s)
-        return "*".join(pieces)
+        c, factors = Fraction(1), e.factors
+        if isinstance(factors[0], Const):
+            c, factors = factors[0].value, factors[1:]
+        if c == -1 and len(factors) == 1 and isinstance(factors[0], Quot):
+            return "-" + render(factors[0])
+        body = "*".join(
+            f"({render(f)})" if isinstance(f, (Sum, Quot)) else render(f)
+            for f in factors
+        )
+        return scaled(c, body, "*")
     if isinstance(e, Quot):
         num = render(e.num)
-        if isinstance(e.num, Sum):
+        if isinstance(e.num, Sum) or num.startswith("-"):
             num = f"({num})"
         den = render(e.den)
         if not (_is_pow_atom(e.den) or isinstance(e.den, Pow)):
             den = f"({den})"
         return f"{num}/{den}"
     if isinstance(e, Sum):
-        out = render(e.terms[0])
-        for term in e.terms[1:]:
-            coeff, core = _split_coeff(term)
-            if coeff >= 0:
-                out += " + " + render(term)
-            elif core is None:
-                out += " - " + str(-coeff)
-            elif coeff == -1:
-                # explicit 1* so the binary minus folds back into the
-                # constant and reparsing reproduces the tree exactly
-                inner = render(core)
-                if isinstance(core, (Sum, Quot)):
-                    inner = f"({inner})"
-                out += " - 1*" + inner
-            else:
-                out += " - " + render(_with_coeff(-coeff, core))
-        return out
+        return signed_sum([render(t) for t in e.terms])
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -43,8 +43,8 @@ class ControlSystem:
 
 
 def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
-    a = tuple(ex.simplify(ex.parse_expr(s, n)) for s in a_strs)
-    b = tuple(ex.simplify(ex.parse_expr(s, n)) for s in b_strs)
+    a = tuple(ex.parse_expr(s, n) for s in a_strs)
+    b = tuple(ex.parse_expr(s, n) for s in b_strs)
     return ControlSystem(n, a, b)
 
 
@@ -190,8 +190,6 @@ class JetSystem:
                 for k, c in self.expand(term).items():
                     out[k] = out.get(k, 0) + c
             return _nonzero(out)
-        if isinstance(e, ex.Neg):
-            return {k: -c for k, c in self.expand(e.arg).items()}
         if isinstance(e, ex.Prod):
             out = {0: 1}
             for f in e.factors:

@@ -104,8 +104,6 @@ def compile_system(sys: ControlSystem):
             return f"({py(e.num)}/{py(e.den)})"
         if isinstance(e, ex.Pow):
             return f"({py(e.base)}**{e.exponent})"
-        if isinstance(e, ex.Neg):
-            return f"(-{py(e.arg)})"
         if isinstance(e, ex.Func):
             return f"math.{e.name}({py(e.arg)})"
         raise TypeError(f"not an Expr: {e!r}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -64,7 +65,10 @@ def changed_file(tmp_path):
 def test_parse_system_file():
     sys3 = parse_system_file(EX1)
     assert sys3.n == 3
-    assert ex.expr_to_str(sys3.a[1]) == "-1*sin(x1)^2"
+    assert sys3.a[1] == ex.Prod(
+        (ex.Const(F(-1)), ex.Pow(ex.Func("sin", ex.Var(1)), 2))
+    )
+    assert ex.expr_to_str(sys3.a[1]) == "-sin(x1)^2"
     assert ex.expr_to_str(sys3.b[1]) == "t^2"
 
 
@@ -93,6 +97,67 @@ def test_parse_reports_position_of_syntax_errors():
     text = "n = 1\na1 = 0\nb1 = sin(x1\n"
     with pytest.raises(InputError, match=r"line 3, b1:"):
         parse_system_file(text)
+
+
+def _nested(shape: str, levels: int) -> str:
+    """A drift component `levels` deep by the parser's count: one level
+    per parenthesis or function call and one per '/' in a chain."""
+    if shape == "parens":
+        return "(" * levels + "x1" + ")" * levels
+    if shape == "sin":
+        return "sin(" * levels + "x1" + ")" * levels
+    if shape == "sin_sum":
+        text = "sin(x1)"
+        for _ in range(levels - 1):
+            text = f"sin(x1 + x2*{text}^2)"
+        return text
+    return "x1" + "/exp(x1)" * (levels - 1)
+
+
+@pytest.mark.parametrize("shape", ["parens", "sin", "sin_sum", "quotients"])
+def test_main_bounds_nesting(tmp_path, capsys, shape):
+    # the deepest accepted input runs through --verify, whose generated
+    # code stays under Python's parenthesis limit; one level more exits 2
+    p = tmp_path / "deep.txt"
+    for levels, code in ((ex.MAX_DEPTH, EXIT_OK), (ex.MAX_DEPTH + 1, EXIT_INPUT)):
+        p.write_text(f"n = 2\na1 = 0\na2 = {_nested(shape, levels)}\nb1 = 1\nb2 = 0\n")
+        assert main(["--input", str(p), "--verify"]) == code
+    err = capsys.readouterr().err
+    message = rf"error: line 3, a2: nesting deeper than {ex.MAX_DEPTH} levels \(at position \d+\)\n"
+    assert re.fullmatch(message, err), err
+
+
+# the smallest power of 2 past the bound, cheap to compute should the bound fail
+K = ex.MAX_POWER_BITS // 2 + 1
+
+
+TOO_LARGE = f"^{K} has more than {ex.MAX_POWER_BITS} bits"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (f"a1 = 0\nb1 = 1 + 2^{K}*x1", f"line 3, b1: 2{TOO_LARGE} (at position 5)"),
+        # exact evaluation at the origin, after the parser
+        (f"a1 = 0\nb1 = (2 + x1)^{K}", f"line 3, b1: 2{TOO_LARGE}\n"),
+        # the equilibrium check's sample at t = 1/7
+        (f"a1 = t^{K}\nb1 = 1", f"cannot be certified zero at t=1/7: (1/7){TOO_LARGE}"),
+    ],
+)
+def test_main_bounds_constant_powers(tmp_path, capsys, lines, message):
+    p = tmp_path / "power.txt"
+    p.write_text(f"n = 1\n{lines}\n")
+    assert main(["--input", str(p)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_main_certifies_a_drift_cancelling_up_to_a_quotient_sign(tmp_path):
+    # -2*s/d and 2*s/d are one quotient with opposite signs, so the drift
+    # simplifies to 0; with the sign folded into the numerator they stayed
+    # apart and the sample at t = -1 divided by zero
+    p = tmp_path / "cancel.txt"
+    p.write_text("n = 1\na1 = -2*sin(t)/(1 + t) + 2*sin(t)/(1 + t)\nb1 = 1\n")
+    assert main(["--input", str(p)]) == EXIT_OK
 
 
 def test_main_rejects_bad_options(ex1_file, capsys):
@@ -143,6 +208,10 @@ def test_main_syntax_error(tmp_path, capsys):
     code = main(["--input", str(p)])
     assert code == EXIT_INPUT
     assert "line 3, b1" in capsys.readouterr().err
+    # the README's example
+    p.write_text("n = 1\na1 = 0\nb1 = (1 + sin(x1)\n")
+    assert main(["--input", str(p)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: line 3, b1: expected ')' (at position 12)\n"
 
 
 def test_main_equilibrium_violation(tmp_path, capsys):
@@ -284,8 +353,9 @@ def test_main_huge_power_of_a_state_has_the_zero_jet(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# the factor 7^2000 has 1691 digits, and report coefficients built from it
-# pass Python's default limit of 4300 digits on int-to-string conversion
+# the factor 7^2000 has 1691 digits (within expr.MAX_POWER_BITS), and report
+# coefficients built from it pass Python's default limit of 4300 digits on
+# int-to-string conversion
 BIG7 = "n = 2\na1 = 0\na2 = x1^6\nb1 = 1 + 7^2000*x1\nb2 = 0\n"
 
 

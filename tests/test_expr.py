@@ -16,8 +16,12 @@ def F(*args):
 # parsing
 
 def test_parse_negated_function():
+    # a minus is a product with -1, the form simplify gives it
     e = ex.parse_expr("-cos(x1)", 3)
-    assert e == ex.Neg(ex.Func("cos", ex.Var(1)))
+    assert e == ex.Prod((ex.Const(F(-1)), ex.Func("cos", ex.Var(1))))
+    assert ex.parse_expr("-2/(1 + x1)", 3) == ex.Prod(
+        (ex.Const(F(-1)), ex.Quot(ex.Const(F(2)), ex.Sum((ex.ONE, ex.Var(1)))))
+    )
 
 
 def test_parse_zero():
@@ -38,11 +42,17 @@ def test_parse_rational_and_decimal_literals():
 
 
 def test_parse_precedence_and_associativity():
-    # a/b*c groups as (a/b)*c, minus binds looser than *
+    # a/b*c groups as (a/b)*c and a*b/c as (a*b)/c, minus binds looser
+    # than *; sums and products come out sorted
     e = ex.parse_expr("1/2*t", 3)
     assert e == ex.Prod((ex.Const(F(1, 2)), ex.Var(0)))
     e2 = ex.parse_expr("-2*t + x1", 3)
-    assert e2 == ex.Sum((ex.Prod((ex.Const(F(-2)), ex.Var(0))), ex.Var(1)))
+    assert e2 == ex.Sum((ex.Var(1), ex.Prod((ex.Const(F(-2)), ex.Var(0)))))
+    x1_over_t = ex.Quot(ex.Var(1), ex.Var(0))
+    assert ex.parse_expr("x1/t*x2", 3) == ex.Prod((ex.Var(2), x1_over_t))
+    assert ex.parse_expr("x1*x2/t", 3) == ex.Quot(
+        ex.Prod((ex.Var(1), ex.Var(2))), ex.Var(0)
+    )
 
 
 def test_parse_error_positions():
@@ -61,6 +71,29 @@ def test_parse_error_positions():
         ex.parse_expr("x4", 3)  # index out of range
     with pytest.raises(ex.ExprSyntaxError):
         ex.parse_expr("x0", 3)
+
+
+def test_parse_bounds_nesting():
+    deepest = "(" * ex.MAX_DEPTH + "x1" + ")" * ex.MAX_DEPTH
+    assert ex.parse_expr(deepest, 3) == ex.Var(1)
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr("(" + deepest + ")", 3)
+    assert err.value.position == ex.MAX_DEPTH
+    # a quotient nests the chain before its '/' one level deeper too
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr(f"{deepest}/x1", 3)
+    assert err.value.position == len(deepest)
+
+
+def test_parse_bounds_constant_powers():
+    k = ex.MAX_POWER_BITS // 2  # 2 has bit length 2
+    assert ex.mk_pow(ex.Const(F(2)), k) == ex.Const(F(2) ** k)
+    assert ex.parse_expr(f"x1^{k + 1}*1^{k + 1}", 3) == ex.Pow(ex.Var(1), k + 1)
+    with pytest.raises(ex.ExprSyntaxError) as err:
+        ex.parse_expr(f"x1 + 2^{k + 1}", 3)
+    assert err.value.position == 6
+    with pytest.raises(ex.PowerTooLargeError):
+        ex.eval_at_origin(ex.Pow(ex.Sum((ex.Const(F(2)), ex.Var(1))), k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -129,37 +162,77 @@ def test_simplify_merges_like_terms_and_powers():
     assert ex.simplify(p("x1*x1*x1")) == ex.Pow(ex.Var(1), 3)
     assert ex.simplify(p("2*t*x1 - t*x1")) == ex.Prod((ex.Var(0), ex.Var(1)))
     assert ex.simplify(p("x1 - x1")) == ex.Const(F(0))
+    # a repeated quotient becomes one quotient of powers, a fixed point
+    x1_over_d = p("x1/(1 + x2)")
+    squared = ex.Quot(ex.Pow(ex.Var(1), 2), ex.Pow(x1_over_d.den, 2))
+    assert ex.mk_prod((x1_over_d, x1_over_d)) == squared
+    assert ex.simplify(squared) == squared
 
 
 # random expression generator shared by the property tests
 
-_LEAVES = ["t", "x1", "x2", "x3"]
+_LEAVES = {"t": ex.T, "x1": ex.Var(1), "x2": ex.Var(2), "x3": ex.Var(3)}
+# transcendental arguments vanish at the origin so exact evaluation works
+_FUNC_ARGS = {
+    "t": ex.T,
+    "x1": ex.Var(1),
+    "t*x2": ex.Prod((ex.T, ex.Var(2))),
+    "x3 - x3": ex.Sum((ex.Var(3), ex.Prod((ex.Const(F(-1)), ex.Var(3))))),
+    "2*x1": ex.Prod((ex.Const(F(2)), ex.Var(1))),
+}
+# grammar levels of a text: a sum, a term (may start with '-'), a chain of
+# '*' and '/', a power and an atom; an operand below the level its place
+# needs is parenthesized
+SUM, TERM, CHAIN, POWER, ATOM = range(5)
 
 
-def random_expr(rng: random.Random, depth: int) -> str:
+def _neg(raw: ex.Expr) -> ex.Expr:
+    return ex.Prod((ex.Const(F(-1)), raw))
+
+
+def _random(rng: random.Random, depth: int) -> tuple:
+    def operand(level):
+        text, raw, got = _random(rng, depth - 1)
+        return (f"({text})" if got < level else text), raw
+
     if depth == 0 or rng.random() < 0.25:
         kind = rng.randrange(3)
         if kind == 0:
-            return str(rng.randrange(0, 6))
+            k = rng.randrange(0, 6)
+            return str(k), ex.Const(F(k)), ATOM
         if kind == 1:
-            return f"{rng.randrange(1, 9)}/{rng.randrange(1, 9)}"
-        return rng.choice(_LEAVES)
-    op = rng.randrange(6)
-    if op == 0:
-        return f"({random_expr(rng, depth - 1)} + {random_expr(rng, depth - 1)})"
-    if op == 1:
-        return f"({random_expr(rng, depth - 1)} - {random_expr(rng, depth - 1)})"
+            p, q = rng.randrange(1, 9), rng.randrange(1, 9)
+            return f"{p}/{q}", ex.Quot(ex.Const(F(p)), ex.Const(F(q))), CHAIN
+        name = rng.choice(sorted(_LEAVES))
+        return name, _LEAVES[name], ATOM
+    op = rng.randrange(7)
+    if op in (0, 1):
+        (a, ra), (b, rb) = operand(SUM), operand(TERM)
+        if op == 0:
+            return f"{a} + {b}", ex.Sum((ra, rb)), SUM
+        return f"{a} - {b}", ex.Sum((ra, _neg(rb))), SUM
     if op == 2:
-        return f"{random_expr(rng, depth - 1)}*{random_expr(rng, depth - 1)}"
+        (a, ra), (b, rb) = operand(CHAIN), operand(POWER)
+        return f"{a}*{b}", ex.Prod((ra, rb)), CHAIN
     if op == 3:
         # keep denominators nonzero at the origin
-        return f"{random_expr(rng, depth - 1)}/({rng.randrange(1, 5)} + x2^2)"
+        (a, ra), k = operand(CHAIN), rng.randrange(1, 5)
+        den = ex.Sum((ex.Const(F(k)), ex.Pow(ex.Var(2), 2)))
+        return f"{a}/({k} + x2^2)", ex.Quot(ra, den), CHAIN
     if op == 4:
-        return f"{random_expr(rng, depth - 1)}^{rng.randrange(0, 4)}"
-    fn = rng.choice(["sin", "cos", "exp"])
-    # transcendental arguments vanish at the origin so exact evaluation works
-    arg = rng.choice(["t", "x1", "t*x2", "x3 - x3", "2*x1"])
-    return f"{fn}({arg})"
+        (a, ra), k = operand(POWER), rng.randrange(0, 4)
+        return f"{a}^{k}", ex.Pow(ra, k), POWER
+    if op == 5:
+        a, ra = operand(CHAIN)
+        return f"-{a}", _neg(ra), TERM
+    fn, arg = rng.choice(["sin", "cos", "exp"]), rng.choice(sorted(_FUNC_ARGS))
+    return f"{fn}({arg})", ex.Func(fn, _FUNC_ARGS[arg]), ATOM
+
+
+def random_expr(rng: random.Random, depth: int) -> tuple:
+    """A random text and the raw tree it denotes, built from node
+    constructors with the text's grouping and nothing simplified."""
+    return _random(rng, depth)[:2]
 
 
 def test_differentiate_matches_finite_differences():
@@ -167,7 +240,7 @@ def test_differentiate_matches_finite_differences():
     h = 1e-6
     checked = 0
     for _ in range(120):
-        text = random_expr(rng, 3)
+        text, _ = random_expr(rng, 3)
         e = ex.parse_expr(text, 3)
         for var in range(4):
             d = ex.differentiate(e, var)
@@ -188,26 +261,46 @@ def test_differentiate_matches_finite_differences():
 
 
 def test_simplify_preserves_values():
+    # a parse is simplify of the raw tree its text denotes, with its values
     rng = random.Random(555)
-    for _ in range(100):
-        text = random_expr(rng, 3)
-        e = ex.parse_expr(text, 3)
-        s = ex.simplify(e)
-        assert ex.eval_at_origin(e) == ex.eval_at_origin(s)
+    for _ in range(150):
+        text, raw = random_expr(rng, 4)
+        s = ex.parse_expr(text, 3)
+        assert s == ex.simplify(raw), text
+        assert ex.eval_at_origin(raw) == ex.eval_at_origin(s)
         t = rng.uniform(-1, 1)
         xs = [rng.uniform(-1, 1) for _ in range(3)]
-        ve, vs = ex.eval_float(e, t, xs), ex.eval_float(s, t, xs)
-        assert vs == pytest.approx(ve, rel=1e-12, abs=1e-12)
+        ve, vs = ex.eval_float(raw, t, xs), ex.eval_float(s, t, xs)
+        assert vs == pytest.approx(ve, rel=1e-9, abs=1e-9)
 
 
 def test_simplify_idempotent_and_roundtrip():
     rng = random.Random(31337)
     for _ in range(200):
-        text = random_expr(rng, 3)
-        s = ex.simplify(ex.parse_expr(text, 3))
+        text, _ = random_expr(rng, 3)
+        s = ex.parse_expr(text, 3)
         assert ex.simplify(s) == s
         printed = ex.expr_to_str(s)
         assert ex.parse_expr(printed, 3) == s
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_render_reparses_exactly_property(rng):
+    text, raw = random_expr(rng, 4)
+    s = ex.parse_expr(text, 3)
+    assert s == ex.simplify(raw)
+    assert ex.parse_expr(ex.render(s), 3) == s
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1 - 2/(1 + x1)", "x1 - 7/(3 + x2^2)/(1 + x2^2)", "-x1/t", "(-x1)/t"],
+)
+def test_quotients_print_as_written(text):
+    s = ex.parse_expr(text, 3)
+    assert ex.render(s) == text
+    assert ex.parse_expr(ex.render(s), 3) == s
 
 
 @st.composite

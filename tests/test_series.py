@@ -47,8 +47,8 @@ def test_system_validation():
 
 def test_render_mentions_every_state(sys3):
     a = [ex.expr_to_str(c) for c in sys3.a]
-    assert a == ["0", "-1*sin(x1)^2", "2*x1^2*sin(t)"]
-    assert [ex.expr_to_str(c) for c in sys3.b] == ["-1*cos(x1)", "t^2", "-1*x2"]
+    assert a == ["0", "-sin(x1)^2", "2*x1^2*sin(t)"]
+    assert [ex.expr_to_str(c) for c in sys3.b] == ["-cos(x1)", "t^2", "-x2"]
 
 
 # ---------------------------------------------------------------------------
