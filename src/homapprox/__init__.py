@@ -8,7 +8,6 @@ from .expr import (
     ExprSyntaxError,
     differentiate,
     eval_at_origin,
-    eval_float,
     expr_to_str,
     parse_expr,
     simplify,

@@ -35,8 +35,8 @@ class InputError(Exception):
 
 
 def parse_system_file(text: str) -> ControlSystem:
-    """Declarative format: one `n = <int>` line, then `a<i> = <expr>` and
-    `b<i> = <expr>` lines for i = 1..n; `#` starts a comment."""
+    """Declarative format: one `n = <int>` line and `a<i> = <expr>`,
+    `b<i> = <expr>` lines for i = 1..n, in any order; `#` starts a comment."""
     n = None
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -5,16 +5,14 @@ constants, variables, sums, products, quotients, non-negative integer
 powers and the functions sin, cos, exp; a minus is a product with the
 constant -1.  The parser builds every node through the smart
 constructors, so a parsed tree is already in ``simplify``'s normal form.
-All structural operations (parsing, differentiation, simplification,
-evaluation at the origin) are exact; ``eval_float`` is a plain float
-reference (``--verify`` compiles its own float code in ``verify``).
+All structural operations (parsing, differentiation, substitution,
+evaluation at the origin) are exact; ``--verify`` compiles the trees to
+float code in ``verify``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .algebra import scaled, signed_sum
@@ -110,10 +108,14 @@ T = Var(0)
 # ---------------------------------------------------------------------------
 # canonical ordering key, used to sort terms and factors deterministically
 
-@lru_cache(maxsize=None)
 def _key(e: Expr) -> str:
     if isinstance(e, Const):
-        return f"0({e.value})"
+        try:
+            return f"0({e.value})"
+        except ValueError:  # past int.__str__'s digit limit; Decimal has none
+            from decimal import Decimal
+
+            return f"0({Decimal(e.value.numerator)}/{Decimal(e.value.denominator)})"
     if isinstance(e, Var):
         return f"1({e.index:06d})"
     if isinstance(e, Pow):
@@ -155,20 +157,15 @@ def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
 
 def mk_sum(terms: Iterable[Expr]) -> Expr:
     const_acc = Fraction(0)
-    cores: dict[str, list] = {}
+    cores: dict[Expr, Fraction] = {}  # like terms merge on the node itself
     for term in terms:
-        if isinstance(term, Sum):
-            inner = term.terms
-        else:
-            inner = (term,)
-        for t in inner:
+        for t in term.terms if isinstance(term, Sum) else (term,):
             coeff, core = _split_coeff(t)
             if core is None:
                 const_acc += coeff
             else:
-                slot = cores.setdefault(_key(core), [Fraction(0), core])
-                slot[0] += coeff
-    out = [_with_coeff(c, core) for c, core in cores.values() if c != 0]
+                cores[core] = cores.get(core, 0) + coeff
+    out = [_with_coeff(c, core) for core, c in cores.items() if c != 0]
     if const_acc != 0:
         out.append(Const(const_acc))
     out.sort(key=_key)
@@ -181,30 +178,18 @@ def mk_sum(terms: Iterable[Expr]) -> Expr:
 
 def mk_prod(factors: Iterable[Expr]) -> Expr:
     coeff = Fraction(1)
-    bases: dict[str, list] = {}
-
-    def feed(base: Expr, exp: int):
-        nonlocal coeff
-        if isinstance(base, Const):
-            coeff *= base.value ** exp
-            return
-        slot = bases.setdefault(_key(base), [0, base])
-        slot[0] += exp
-
+    bases: dict[Expr, int] = {}  # repeated factors merge on the node itself
     for f in factors:
-        if isinstance(f, Prod):
-            parts = f.factors
-        else:
-            parts = (f,)
-        for p in parts:
-            if isinstance(p, Pow):
-                feed(p.base, p.exponent)
+        for p in f.factors if isinstance(f, Prod) else (f,):
+            base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, 1)
+            if isinstance(base, Const):
+                coeff *= base.value**exp
             else:
-                feed(p, 1)
+                bases[base] = bases.get(base, 0) + exp
     if coeff == 0:
         return ZERO
     out = []
-    for exp, base in bases.values():
+    for base, exp in bases.items():
         if exp == 0:
             continue
         # mk_pow, so that a repeated quotient becomes one quotient of powers
@@ -267,23 +252,31 @@ def mk_func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
+def substitute(e: Expr, values: dict) -> Expr:
+    """Rebuild e through the smart constructors, with every variable whose
+    index is a key of ``values`` replaced by its (simplified) value."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return values.get(e.index, e)
+    if isinstance(e, Sum):
+        return mk_sum(substitute(t, values) for t in e.terms)
+    if isinstance(e, Prod):
+        return mk_prod(substitute(f, values) for f in e.factors)
+    if isinstance(e, Quot):
+        return mk_quot(substitute(e.num, values), substitute(e.den, values))
+    if isinstance(e, Pow):
+        return mk_pow(substitute(e.base, values), e.exponent)
+    if isinstance(e, Func):
+        return mk_func(e.name, substitute(e.arg, values))
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def simplify(e: Expr) -> Expr:
     """Rule-based normal form: flat sorted sums/products, merged like
     terms and repeated factors, folded constants, sin/cos/exp folded at 0.
     Idempotent by construction (smart constructors are fixed points)."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Sum):
-        return mk_sum(simplify(t) for t in e.terms)
-    if isinstance(e, Prod):
-        return mk_prod(simplify(f) for f in e.factors)
-    if isinstance(e, Quot):
-        return mk_quot(simplify(e.num), simplify(e.den))
-    if isinstance(e, Pow):
-        return mk_pow(simplify(e.base), e.exponent)
-    if isinstance(e, Func):
-        return mk_func(e.name, simplify(e.arg))
-    raise TypeError(f"not an Expr: {e!r}")
+    return substitute(e, {})
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +325,6 @@ def _diff(e: Expr, idx: int) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def substitute(e: Expr, idx: int, replacement: Expr) -> Expr:
-    """Replace the variable with the given index, then simplify."""
-    return simplify(_subst(e, idx, replacement))
-
-
-def _subst(e: Expr, idx: int, rep: Expr) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return rep if e.index == idx else e
-    if isinstance(e, Sum):
-        return Sum(tuple(_subst(t, idx, rep) for t in e.terms))
-    if isinstance(e, Prod):
-        return Prod(tuple(_subst(f, idx, rep) for f in e.factors))
-    if isinstance(e, Quot):
-        return Quot(_subst(e.num, idx, rep), _subst(e.den, idx, rep))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, idx, rep), e.exponent)
-    if isinstance(e, Func):
-        return Func(e.name, _subst(e.arg, idx, rep))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def eval_at_origin(e: Expr) -> Fraction:
     """Exact value at t = 0, x = 0.
 
@@ -387,28 +357,6 @@ def eval_at_origin(e: Expr) -> Fraction:
                 f"{e.name}({v}) has no exact rational value"
             )
         return Fraction(0) if e.name == "sin" else Fraction(1)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def eval_float(e: Expr, t: float, xs) -> float:
-    """Floating-point value at time t and state vector xs (1-based x_i)."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return t if e.index == 0 else xs[e.index - 1]
-    if isinstance(e, Sum):
-        return sum(eval_float(term, t, xs) for term in e.terms)
-    if isinstance(e, Prod):
-        acc = 1.0
-        for f in e.factors:
-            acc *= eval_float(f, t, xs)
-        return acc
-    if isinstance(e, Quot):
-        return eval_float(e.num, t, xs) / eval_float(e.den, t, xs)
-    if isinstance(e, Pow):
-        return eval_float(e.base, t, xs) ** e.exponent
-    if isinstance(e, Func):
-        return getattr(math, e.name)(eval_float(e.arg, t, xs))
     raise TypeError(f"not an Expr: {e!r}")
 
 

@@ -48,24 +48,18 @@ def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
     return ControlSystem(n, a, b)
 
 
-def _drift_at_zero_state(component, n: int):
-    out = component
-    for j in range(1, n + 1):
-        out = ex.substitute(out, j, ex.ZERO)
-    return out
-
-
 def validate_equilibrium(sys: ControlSystem) -> None:
     """Require a(t,0) = 0: symbolically if simplification reaches 0,
     otherwise by exact evaluation at 20 rational times."""
+    zero_state = dict.fromkeys(range(1, sys.n + 1), ex.ZERO)
     for i, ai in enumerate(sys.a):
-        at0 = _drift_at_zero_state(ai, sys.n)
+        at0 = ex.substitute(ai, zero_state)
         if at0 == ex.ZERO:
             continue
         for k in range(1, 21):
             t_val = Fraction(k if k <= 10 else 10 - k, 7)
             try:
-                val = ex.eval_at_origin(ex.substitute(at0, 0, ex.Const(t_val)))
+                val = ex.eval_at_origin(ex.substitute(at0, {0: ex.Const(t_val)}))
             except ex.EvalError as err:
                 raise EquilibriumError(
                     f"a{i + 1}(t,0) cannot be certified zero at t={t_val}: {err}; "

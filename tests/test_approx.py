@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,20 @@ def test_deepening_respects_max_order(sys_deep, sys3):
 def test_self_consistency(res3, res_drift, res_deep):
     for res in (res3, res_drift, res_deep):
         check_self_consistency(res)
+
+
+def test_huge_constants_run_outside_the_cli():
+    # 2^65536 has more digits than int.__str__ prints by default; the CLI
+    # lifts that limit for its run, and the library must not need it
+    limit = sys.get_int_max_str_digits()
+    res = approximate(
+        system_from_strings(2, ["0", "x1^2"], ["1 + 2^65536*x1", "0"])
+    )
+    check_self_consistency(res)
+    assert res.weights == (1, 3)
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ex.ExprSyntaxError):
+        system_from_strings(2, ["0", "x1^2"], ["1 + 2^65537*x1", "0"])
 
 
 def test_self_check_builds_its_jets_once(monkeypatch):

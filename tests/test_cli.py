@@ -72,6 +72,12 @@ def test_parse_system_file():
     assert ex.expr_to_str(sys3.b[1]) == "t^2"
 
 
+def test_parse_system_file_takes_n_on_any_line():
+    # the lines may come in any order, n on the last one too
+    last = parse_system_file("b2 = x1\na2 = 0\nb1 = 1\na1 = 0\nn = 2\n")
+    assert last == parse_system_file("n = 2\na1 = 0\na2 = 0\nb1 = 1\nb2 = x1\n")
+
+
 def test_parse_rejects_malformed_input():
     with pytest.raises(InputError, match="missing 'n"):
         parse_system_file("a1 = 0\nb1 = 1\n")

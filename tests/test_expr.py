@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homapprox import expr as ex
+from homapprox.series import ControlSystem
+from homapprox.verify import compile_system
 
 
 def F(*args):
     return Fraction(*args)
+
+
+def float_function(e: ex.Expr):
+    """e as a float function of (t, xs), compiled by the code that
+    --verify integrates with."""
+    zeros = (ex.ZERO,) * 3
+    f = compile_system(ControlSystem(3, (e,) + zeros[1:], zeros))
+    return lambda t, xs: f(t, xs, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +107,20 @@ def test_parse_bounds_constant_powers():
         ex.eval_at_origin(ex.Pow(ex.Sum((ex.Const(F(2)), ex.Var(1))), k + 1))
 
 
+def test_huge_constants_sort_past_the_digit_limit():
+    # 2^65536 has 19729 digits, more than int.__str__ prints by default
+    limit = sys.get_int_max_str_digits()
+    huge = ex.Const(F(2) ** 65536)
+    assert ex.parse_expr("2^65536", 3) == huge
+    assert ex.parse_expr("x1 + 2^65536", 3) == ex.Sum((huge, ex.Var(1)))
+    assert ex.parse_expr("x1 - 1/2^65536", 3) == ex.Sum(
+        (ex.Const(-1 / huge.value), ex.Var(1))
+    )
+    assert sys.get_int_max_str_digits() == limit
+    # the key of a constant that str prints is still str's
+    assert ex._key(ex.Const(F(-7, 3))) == "0(-7/3)"
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -120,7 +145,8 @@ def test_diff_quotient_rule():
     e = ex.parse_expr("t/(1 + x1)", 3)
     d = ex.differentiate(e, 1)
     # -t/(1+x1)^2 at (t,x)=(1,0) is -1
-    assert ex.eval_float(d, 1.0, [0.0, 0.0, 0.0]) == pytest.approx(-1.0)
+    assert ex.eval_at_origin(ex.substitute(d, {0: ex.ONE})) == -1
+    assert d == ex.parse_expr("(-t)/(1 + x1)^2", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +268,15 @@ def test_differentiate_matches_finite_differences():
     for _ in range(120):
         text, _ = random_expr(rng, 3)
         e = ex.parse_expr(text, 3)
+        f = float_function(e)
         for var in range(4):
             d = ex.differentiate(e, var)
             exact = ex.eval_at_origin(d)
-            point = [0.0, 0.0, 0.0]
 
             def at(delta):
-                t = delta if var == 0 else 0.0
-                xs = list(point)
-                if var > 0:
-                    xs[var - 1] = delta
-                return ex.eval_float(e, t, xs)
+                point = [0.0] * 4
+                point[var] = delta
+                return f(point[0], point[1:])
 
             approx = (at(h) - at(-h)) / (2 * h)
             assert approx == pytest.approx(float(exact), rel=1e-6, abs=1e-6)
@@ -270,7 +294,7 @@ def test_simplify_preserves_values():
         assert ex.eval_at_origin(raw) == ex.eval_at_origin(s)
         t = rng.uniform(-1, 1)
         xs = [rng.uniform(-1, 1) for _ in range(3)]
-        ve, vs = ex.eval_float(raw, t, xs), ex.eval_float(s, t, xs)
+        ve, vs = float_function(raw)(t, xs), float_function(s)(t, xs)
         assert vs == pytest.approx(ve, rel=1e-9, abs=1e-9)
 
 
@@ -291,6 +315,27 @@ def test_render_reparses_exactly_property(rng):
     s = ex.parse_expr(text, 3)
     assert s == ex.simplify(raw)
     assert ex.parse_expr(ex.render(s), 3) == s
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_substitute_zeroes_states_at_once_property(rng):
+    # validate_equilibrium zeroes every state in one call; the tree is the
+    # one that zeroing them one at a time gives, so no verdict can change
+    text, _ = random_expr(rng, 4)
+    e = ex.parse_expr(text, 3)
+    one_at_a_time = e
+    for j in (1, 2, 3):
+        one_at_a_time = ex.substitute(one_at_a_time, {j: ex.ZERO})
+    assert ex.substitute(e, {1: ex.ZERO, 2: ex.ZERO, 3: ex.ZERO}) == one_at_a_time
+
+
+def test_substitute_rebuilds_through_the_constructors():
+    # a replacement can merge factors that were apart
+    e = ex.parse_expr("x1*x2/(1 + t) - sin(x2)^2", 3)
+    assert ex.substitute(e, {2: ex.Var(1)}) == ex.parse_expr(
+        "x1^2/(1 + t) - sin(x1)^2", 3
+    )
 
 
 @pytest.mark.parametrize(
@@ -323,6 +368,6 @@ def test_polynomial_roundtrip_property(coeffs, powers):
     printed = ex.expr_to_str(e)
     assert ex.parse_expr(printed, 3) == ex.simplify(e)
     # evaluation agreement at a rational point via substitution
-    at2 = ex.substitute(e, 1, ex.Const(Fraction(2)))
+    at2 = ex.substitute(e, {1: ex.Const(Fraction(2))})
     expected = sum(c * Fraction(2) ** p for c, p in zip(coeffs, powers))
     assert ex.eval_at_origin(at2) == expected

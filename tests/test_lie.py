@@ -1,9 +1,13 @@
+import json
+import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from homapprox import lie
-from homapprox.algebra import AlgElem, vectorize, word_order
+from homapprox.algebra import AlgElem, enumerate_basis, vectorize, word_order
 from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
 
 
@@ -118,3 +122,56 @@ def test_words_are_valid_bracketings():
 def test_witt_dimension_rejects_bad_input():
     with pytest.raises(ValueError):
         witt_dimension(0)
+
+
+# the kept words of each order m <= 12 (746 in all), as the scan over
+# whole orders chose them; a per-letter-multiset basis must keep the same
+KEPT_WORDS = Path(__file__).with_name("lie_kept_words.json")
+
+
+def test_kept_words_match_the_pinned_scan():
+    pinned = json.loads(KEPT_WORDS.read_text())
+    assert sum(map(len, pinned.values())) == 746
+    for m in range(1, 13):
+        assert lie._kept_words(m) == tuple(map(tuple, pinned[str(m)])), m
+
+
+def mobius(d: int) -> int:
+    out, p = 1, 2
+    while d > 1:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def multigraded_witt(counts) -> int:
+    """(1/|a|) sum over d | gcd(a) of mu(d) (|a|/d)! / prod (a_i/d)!, the
+    dimension of the free Lie algebra's piece with letter multiplicities a
+    (Reutenauer, Free Lie Algebras, 1993)."""
+    size = sum(counts)
+    total = 0
+    for d in range(1, math.gcd(*counts) + 1):
+        if all(c % d == 0 for c in counts):
+            ways = math.factorial(size // d)
+            for c in counts:
+                ways //= math.factorial(c // d)
+            total += mobius(d) * ways
+    assert total % size == 0
+    return total // size
+
+
+def test_kept_words_per_letter_multiset_match_multigraded_witt():
+    checked = 0
+    for m in range(1, 13):
+        kept = Counter(tuple(sorted(w)) for w in lie._kept_words(m))
+        multisets = {tuple(sorted(w)) for w in enumerate_basis(m)}
+        for letters in multisets:
+            counts = list(Counter(letters).values())
+            assert kept[letters] == multigraded_witt(counts), letters
+        assert set(kept) <= multisets
+        checked += len(multisets)
+    assert checked == 271  # the partitions of 1..12

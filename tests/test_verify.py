@@ -96,17 +96,26 @@ def test_series_prediction_matches_backward_for_exact_series(sys_scalar):
 
 
 def test_compile_system_agrees_with_exact_evaluation(sys3):
-    from homapprox import expr as ex
-
+    # sympy, the series oracle, evaluates the fixture's strings exactly at
+    # rational points, independently of the compiled code
+    sympy = pytest.importorskip("sympy")
+    t, *xs = sympy.symbols("t x1:4")
+    names = {"t": t, **{str(x): x for x in xs}}
+    a = ["0", "-sin(x1)^2", "2*x1^2*sin(t)"]
+    b = ["-cos(x1)", "t^2", "-x2"]
+    fields = [
+        [sympy.sympify(s.replace("^", "**"), locals=names) for s in pair]
+        for pair in zip(a, b)
+    ]
     f = compile_system(sys3)
     rng = random.Random(9)
     for _ in range(25):
-        t = rng.uniform(-1, 1)
-        x = [rng.uniform(-1, 1) for _ in range(3)]
+        point = [F(rng.randint(-16, 16), 16) for _ in range(4)]
         u = rng.choice(CONTROL_VALUES)
-        got = f(t, x, u)
-        for i in range(3):
-            want = ex.eval_float(sys3.a[i], t, x) + ex.eval_float(sys3.b[i], t, x) * u
+        got = f(float(point[0]), [float(v) for v in point[1:]], u)
+        at = dict(zip((t, *xs), map(sympy.Rational, point)))
+        for i, (ai, bi) in enumerate(fields):
+            want = float(ai.subs(at)) + float(bi.subs(at)) * u
             assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
