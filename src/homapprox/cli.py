@@ -17,6 +17,7 @@ from . import approx as ap
 from . import expr as ex
 from . import report as rp
 from . import verify as vf
+from .algebra import enumerate_basis
 from .series import ControlSystem, EquilibriumError
 
 EXIT_OK = 0
@@ -92,9 +93,18 @@ def parse_system_file(text: str) -> ControlSystem:
 def run_verification(result: ap.ApproximationResult, seed: int = 20240801) -> dict:
     rng = random.Random(seed)
     controls = [vf.random_control(rng) for _ in range(3)]
-    oc = vf.order_check(result.system, result.table, controls)
+    # the first two controls also serve the shuffle check, so their moments
+    # cover its words too and each control is integrated once
+    low = min(result.N, 4)
+    shuffle_words = [w for m in range(1, low + 1) for w in enumerate_basis(m)]
+    both = [*result.table.coeffs, *shuffle_words]
+    moments = [
+        vf.evaluate_moments(c, result.N, words)
+        for c, words in zip(controls, (both, both, result.table.coeffs))
+    ]
+    oc = vf.order_check(result.system, result.table, controls, moments=moments)
     shuffle_res = max(
-        vf.max_shuffle_residual(c, min(result.N, 4)) for c in controls[:2]
+        vf.max_shuffle_residual(c, low, xi) for c, xi in zip(controls[:2], moments)
     )
     return {"order_check": oc, "shuffle_residual": shuffle_res}
 

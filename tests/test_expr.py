@@ -16,8 +16,8 @@ def F(*args):
 
 
 def float_function(e: ex.Expr):
-    """e as a float function of (t, xs), compiled by the code that
-    --verify integrates with."""
+    """e as a float function of (t, xs), compiled by the expression
+    printer that --verify's integrator is generated from."""
     zeros = (ex.ZERO,) * 3
     f = compile_system(ControlSystem(3, (e,) + zeros[1:], zeros))
     return lambda t, xs: f(t, xs, 0.0)[0]

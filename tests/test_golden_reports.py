@@ -7,6 +7,9 @@ in the default mode, for systems of the benchmark suite under
 has index 1.  `tests/golden/deep12.json` holds the JSON report of an
 order-12 system, one order past the deepest benchmark system, and
 `early4.json` that of a system whose core is complete at order 3 < n.
+`sys3_verify.json` and `deep7_verify.json` hold what
+`homapprox --input <system> --format json --verify` prints, so the
+residuals, slopes and shuffle residual of `--verify` are pinned too.
 Regenerate a golden only when a report change is intended.
 """
 from functools import lru_cache
@@ -16,7 +19,7 @@ import pytest
 
 from homapprox import approx as ap
 from homapprox import report as rp
-from homapprox.cli import EXIT_OK, main, parse_system_file
+from homapprox.cli import EXIT_NO_AUTONOMOUS, EXIT_OK, main, parse_system_file
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -55,3 +58,12 @@ def test_deep12_json_report_matches_golden(tmp_path, capsys):
         path.write_text(text)
         assert main(["--input", str(path), "--format", "json"]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(), name
+
+
+@pytest.mark.parametrize(
+    "name, code", [("sys3", EXIT_NO_AUTONOMOUS), ("deep7", EXIT_OK)]
+)
+def test_verify_json_report_matches_golden(name, code, capsys):
+    path = ROOT / "perfbench" / "systems" / f"{name}.txt"
+    assert main(["--input", str(path), "--format", "json", "--verify"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}_verify.json").read_text()

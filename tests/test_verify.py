@@ -2,15 +2,22 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homapprox import verify as vf
 from homapprox.algebra import enumerate_basis
 from homapprox.approx import approximate
-from homapprox.series import SeriesComputer
+from homapprox.cli import run_verification
+from homapprox.series import SeriesComputer, system_from_strings
 from homapprox.verify import (
     CONTROL_PIECES,
     CONTROL_VALUES,
+    DEFAULT_STEPS,
     PiecewiseConstantControl,
+    VerificationError,
     backward_endpoint,
+    compile_backward,
     compile_system,
     evaluate_moments,
     fit_slope,
@@ -20,9 +27,13 @@ from homapprox.verify import (
     residual,
     series_prediction,
 )
+from reference_rk4 import reference_backward_endpoint
 from reparse import reparsed
+from slopes import order_check_passed
 
 U_ONE = PiecewiseConstantControl((1.0,))
+# order_check's horizons
+THETAS = tuple(0.2 * 2**-j for j in range(6))
 
 
 def test_control_sampling():
@@ -139,7 +150,7 @@ def test_order_check_on_worked_example(sys3):
     result = order_check(sys3, table, controls)
     assert result.N == 4
     assert result.required_slope == pytest.approx(4.7)
-    assert result.passed(), [c.slope for c in result.checks]
+    assert order_check_passed(result), [c.slope for c in result.checks]
     assert min(c.slope for c in result.checks if c.slope is not None) > 4.7
 
 
@@ -151,7 +162,7 @@ def test_order_check_fails_for_wrong_series(sys3):
         result = order_check(
             sys3, table, [PiecewiseConstantControl((1.0, -0.5, 1.0, 0.5))]
         )
-        assert not result.passed()
+        assert not order_check_passed(result)
         assert min(c.slope for c in result.checks if c.slope is not None) < 2.0
     finally:
         table.coeffs[(0,)] = (table.coeffs[(0,)][0] - 1, *table.coeffs[(0,)][1:])
@@ -165,7 +176,7 @@ def test_order_check_approximation_output(sys3):
     result = order_check(
         out, table, [PiecewiseConstantControl((0.5, -1.0, 1.0, -0.5))]
     )
-    assert result.passed()
+    assert order_check_passed(result)
 
 
 def test_shuffle_identity_numerically():
@@ -173,3 +184,71 @@ def test_shuffle_identity_numerically():
     for _ in range(12):
         u = random_control(rng)
         assert max_shuffle_residual(u, 4) == 0.0
+    # given moments are the ones checked
+    moments = evaluate_moments(u, 4)
+    moments[(0, 0)] += 1
+    assert max_shuffle_residual(u, 4, moments) > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6), data=st.data())
+def test_restricted_moments_match_all_moments_property(seed, N, data):
+    control = random_control(random.Random(seed))
+    everything = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+    words = data.draw(st.lists(st.sampled_from(everything), max_size=6))
+    full = evaluate_moments(control, N)
+    got = evaluate_moments(control, N, words)
+    suffixes = {()} | {w[i:] for w in words for i in range(len(w))}
+    assert set(got) == suffixes
+    assert all(got[w] == full[w] for w in suffixes)
+
+
+def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
+    systems = {
+        "scalar": sys_scalar,
+        "sys3": sys3,
+        "deep7": system_from_strings(2, ["0", "x1^6"], ["1", "0"]),
+        "quot": system_from_strings(2, ["0", "x1/(1-x2)"], ["exp(t)", "cos(x1)"]),
+    }
+    rng = random.Random(21)
+    for name, sys in systems.items():
+        integrate = compile_backward(sys)
+        for pieces in CONTROL_PIECES:
+            control = PiecewiseConstantControl(
+                tuple(rng.choice(CONTROL_VALUES) for _ in range(pieces))
+            )
+            for theta in THETAS:
+                want = reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
+                got = backward_endpoint(sys, control, theta, integrate=integrate)
+                assert got == want, (name, pieces, theta)
+
+
+def test_backward_endpoint_blow_up_matches_the_reference():
+    # x1' = x1^2 + 10^6 u leaves float range
+    sys = system_from_strings(1, ["x1^2"], ["1000000"])
+    for theta in THETAS[:2]:
+        with pytest.raises(VerificationError, match="blow-up"):
+            reference_backward_endpoint(sys, U_ONE, theta, DEFAULT_STEPS)
+        with pytest.raises(VerificationError, match="blow-up"):
+            backward_endpoint(sys, U_ONE, theta)
+
+
+def test_run_verification_integrates_each_control_once(sys3, monkeypatch):
+    result = approximate(sys3)
+    calls = []
+    evaluate = vf.evaluate_moments
+
+    def counted(control, N, words=None):
+        calls.append(control)
+        return evaluate(control, N, words)
+
+    monkeypatch.setattr(vf, "evaluate_moments", counted)
+    got = run_verification(result)
+    assert len(calls) == len(set(calls)) == len(got["order_check"].checks) == 3
+    # the same numbers as integrating every word for each check on its own
+    monkeypatch.setattr(vf, "evaluate_moments", evaluate)
+    controls = [c.control for c in got["order_check"].checks]
+    alone = order_check(sys3, result.table, controls)
+    assert alone == got["order_check"]
+    shuffle = max(max_shuffle_residual(c, min(result.N, 4)) for c in controls[:2])
+    assert got["shuffle_residual"] == shuffle
