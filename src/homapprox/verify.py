@@ -5,11 +5,15 @@ the exact moments of the control on one side, and RK4 backward
 integration of the state equation with end condition x(theta) = 0 on
 the other.  The residual between them must shrink like theta^(N+1).
 Controls are piecewise constant, so every moment is a polynomial on each
-piece and is integrated exactly in rationals, once per control for all
-horizons, and only for the words the series uses and their suffixes.
-The backward integrator is one RK4 loop generated from the expression
-printer and compiled once per system; the control pieces are aligned to
-the RK4 grid, so it keeps its full order across control switches.
+piece.  Scaled by the control values' common denominator, the piece
+count and a fixed divisor per word, these polynomials have integer
+coefficients, so the moments are integrated exactly in integers, once
+per control for all horizons, and only for the words the series uses
+and their suffixes; each becomes a Fraction at the end.  The backward
+integrator is one RK4 loop generated from the expression printer and
+compiled once per system.  It runs piece by piece over the control, and
+the piece count divides the step count, so no step straddles a switch
+and RK4 keeps its full order.
 """
 from __future__ import annotations
 
@@ -24,8 +28,8 @@ from .series import ControlSystem, SeriesTable
 DEFAULT_STEPS = 2000
 NOISE_FLOOR = 1e-13
 CONTROL_VALUES = (-1.0, -0.5, 0.5, 1.0)
-# piece counts dividing DEFAULT_STEPS, so switches land on the grid nodes
-# of backward_endpoint
+# piece counts dividing DEFAULT_STEPS, as backward_endpoint requires, so
+# switches land on its grid nodes
 CONTROL_PIECES = (4, 8, 10, 16, 20, 25)
 
 
@@ -36,15 +40,6 @@ class VerificationError(Exception):
 @dataclass(frozen=True)
 class PiecewiseConstantControl:
     values: tuple
-
-    def sample(self, s: float, horizon: float) -> float:
-        k = len(self.values)
-        idx = int(s / horizon * k)
-        if idx < 0:
-            idx = 0
-        if idx >= k:
-            idx = k - 1
-        return self.values[idx]
 
     def describe(self) -> str:
         return "piecewise-constant " + str(list(self.values))
@@ -63,37 +58,49 @@ def evaluate_moments(control: PiecewiseConstantControl, N: int, words=None) -> d
     used otherwise).
 
     xi_{m1 w'}(s) is the integral from 0 to s of r^{m1} u(r) xi_{w'}(r).
-    On a piece where u is the constant c this is the polynomial
-    xi_{m1 w'}(start) + c * integral from start to s of r^{m1} xi_{w'},
-    so the moments are integrated piece by piece (Chen's identity), with
-    words in order of increasing order so that each tail is known.
+    With k pieces whose values are g_j / q (g_j integers), the scaled
+    moment Y_w(rho) = xi_w(rho / k) q^len(w) k^order(w) obeys
+    Y_{m1 w'}(rho) = integral from 0 to rho of g(r) r^{m1} Y_{w'}(r), with
+    piece j on [j, j + 1].  There D_w Y_w is a polynomial with integer
+    coefficients, where D_w = D_{w'} lcm(m1 + 1, ..., order(w)) clears
+    the integration's divisors, and it is an integer at every piece
+    boundary.  So the moments are integrated piece by piece (Chen's
+    identity) in integers, with words in order of increasing order so
+    that each tail is known, and divided out once at the end.
     """
     if words is None:
         words = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
     else:
         suffixes = {w[i:] for w in words for i in range(len(w))}
         words = sorted(suffixes, key=word_sort_key)
-    values = {(): Fraction(1), **dict.fromkeys(words, Fraction(0))}
-    k = len(control.values)
-    for j, u in enumerate(control.values):
-        start, end, c = Fraction(j, k), Fraction(j + 1, k), Fraction(u)
-        polys = {(): [Fraction(1)]}  # coefficients by ascending power of s
-        for w in words:
-            m1 = w[0]
-            poly = [Fraction(0)] * (m1 + 1) + [
-                c * a / (m1 + 1 + i) for i, a in enumerate(polys[w[1:]])
-            ]
-            poly[0] = values[w] - _at(poly, start)
-            polys[w] = poly
-            values[w] = _at(poly, end)
+    pieces = [Fraction(u) for u in control.values]
+    q = math.lcm(*(u.denominator for u in pieces))
+    denom = {(): 1}
+    plan = []  # per word: its tail, zeros for the powers 1..m1, integration factors
+    for w in words:
+        lo, top = w[0] + 1, word_order(w)
+        lcm = math.lcm(*range(lo, top + 1))
+        denom[w] = denom[w[1:]] * lcm
+        plan.append((w, w[1:], [0] * w[0], [lcm // p for p in range(lo, top + 1)]))
+    scaled = dict.fromkeys(words, 0)  # D_w Y_w at the current piece boundary
+    for j, u in enumerate(pieces):
+        g, j1 = u.numerator * (q // u.denominator), j + 1
+        polys = {(): [1]}  # D_w Y_w on this piece, by ascending power of rho
+        for w, tail, zeros, factors in plan:
+            integral = [g * a * f for a, f in zip(polys[tail], factors)]
+            at_j = at_j1 = 0
+            for c in reversed(integral):
+                at_j = at_j * j + c
+                at_j1 = at_j1 * j1 + c
+            lo = len(zeros) + 1
+            start = scaled[w] - at_j * j**lo
+            polys[w] = [start, *zeros, *integral]
+            scaled[w] = start + at_j1 * j1**lo
+    k = len(pieces)
+    values = {(): Fraction(1)}
+    for w in words:
+        values[w] = Fraction(scaled[w], denom[w] * q ** len(w) * k ** word_order(w))
     return values
-
-
-def _at(poly: list, s: Fraction) -> Fraction:
-    out = Fraction(0)
-    for a in reversed(poly):
-        out = out * s + a
-    return out
 
 
 def _py(e: ex.Expr, names: tuple) -> str:
@@ -121,45 +128,39 @@ def _field(sys: ControlSystem, names: tuple) -> list:
     return [f"{_py(a, names)} + ({_py(b, names)})*u" for a, b in zip(sys.a, sys.b)]
 
 
-def _define(src: str, name: str):
-    namespace = {"math": math, "VerificationError": VerificationError}
-    exec(src, namespace)
-    return namespace[name]
-
-
-def compile_system(sys: ControlSystem):
-    """Compile a(t,x) + b(t,x)u into a fast float callable f(t, x, u)."""
-    names = ("t", *(f"x[{i}]" for i in range(sys.n)))
-    comps = _field(sys, names)
-    return _define("def _f(t, x, u):\n    return [" + ", ".join(comps) + "]\n", "_f")
-
-
 _BACKWARD = """\
-def _backward(sample, theta, steps):
+def _backward(values, theta, steps):
     {states} = 0.0
     h = -theta / steps
     hh = 0.5 * h
     h6 = h / 6.0
     t = theta
-    for _ in range(steps):
-        th = t + hh
-        tf = t + h
-        u = sample(th, theta)
+    per_piece = steps // len(values)
+    for u in reversed(values):
+        for _ in range(per_piece):
+            th = t + hh
+            tf = t + h
 {body}
-        t += h
-        if {blown}:
-            raise VerificationError("numerical blow-up in backward integration")
+            t += h
+            if {blown}:
+                raise VerificationError("numerical blow-up in backward integration")
     return [{states_list}]
 """
 
 
 def compile_backward(sys: ControlSystem):
     """One RK4 integrator of dx/dt = a + b u backwards from x(theta) = 0,
-    called as integrate(control.sample, theta, steps) -> x(0).
+    called as integrate(control.values, theta, steps) -> x(0), where the
+    number of pieces divides steps.
 
     Each state is a local variable and the field is written out at each
     of the four stages.  The float operations, and their order, are those
-    of the textbook loop that calls compile_system's f on lists of states.
+    of the textbook loop that evaluates the field on lists of states and
+    samples the control at each step's midpoint t + h/2.  The loop runs
+    over the pieces instead, steps/k steps each: every midpoint lies half
+    a step, theta/(2 steps), inside its piece, while the rounding drift
+    of t += h over all steps is about steps 2^-53 theta, far smaller, so
+    u is the value the sampled control would have had at every step.
     """
     idx = range(1, sys.n + 1)
     xs = tuple(f"x{i}" for i in idx)
@@ -178,11 +179,13 @@ def compile_backward(sys: ControlSystem):
     ]
     src = _BACKWARD.format(
         states=" = ".join(xs),
-        body="\n".join(" " * 8 + line for line in body),
+        body="\n".join(" " * 12 + line for line in body),
         blown=" or ".join(f"not abs({x}) <= 1e12" for x in xs),  # NaN included
         states_list=", ".join(xs),
     )
-    return _define(src, "_backward")
+    namespace = {"math": math, "VerificationError": VerificationError}
+    exec(src, namespace)
+    return namespace["_backward"]
 
 
 def backward_endpoint(
@@ -193,11 +196,17 @@ def backward_endpoint(
     integrate=None,
 ) -> list:
     """RK4 integration of dx/dt = a + b u backwards from x(theta) = 0;
-    returns x(0), the point the series represents.  integrate, from
-    compile_backward(sys), is compiled here when not given."""
+    returns x(0), the point the series represents.  The control's piece
+    count must divide steps, so that no step straddles a switch.
+    integrate, from compile_backward(sys), is compiled here when not
+    given."""
+    if steps % len(control.values):
+        raise ValueError(
+            f"{len(control.values)} control pieces do not divide {steps} steps"
+        )
     if integrate is None:
         integrate = compile_backward(sys)
-    return integrate(control.sample, theta, steps)
+    return integrate(control.values, theta, steps)
 
 
 def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:

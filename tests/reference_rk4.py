@@ -1,10 +1,25 @@
 """The backward RK4 integrator as it was before `verify` generated one
-loop per system: a compiled field f(t, x, u) called on lists at each
-stage.  `verify.backward_endpoint` must return exactly the same floats."""
+loop per system and per control piece: a compiled field f(t, x, u)
+called on lists at each stage, with the control sampled at each step's
+midpoint.  `verify.backward_endpoint` must return exactly the same
+floats, which ties `verify`'s printer to `reference_field`, and
+`test_verify` checks `reference_field` against sympy."""
 import math
 
 from homapprox import expr as ex
 from homapprox.verify import VerificationError
+
+
+def sample(control, s, horizon):
+    """The value of the control, spread over [0, horizon], at time s; times
+    outside the horizon take the nearest piece."""
+    k = len(control.values)
+    idx = int(s / horizon * k)
+    if idx < 0:
+        idx = 0
+    if idx >= k:
+        idx = k - 1
+    return control.values[idx]
 
 
 def reference_field(sys):
@@ -38,7 +53,7 @@ def reference_backward_endpoint(sys, control, theta, steps):
     h = -theta / steps
     t = theta
     for _ in range(steps):
-        u = control.sample(t + 0.5 * h, theta)
+        u = sample(control, t + 0.5 * h, theta)
         k1 = f(t, x, u)
         k2 = f(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(x, k1)], u)
         k3 = f(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(x, k2)], u)

