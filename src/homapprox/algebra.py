@@ -63,16 +63,39 @@ def signed_sum(terms: list) -> str:
     return out
 
 
+def exact_str(c) -> str:
+    """str(c) for an int or Fraction c, with any number of digits."""
+    try:
+        return str(c)
+    except ValueError:  # past Python's int-to-string digit limit, which Decimal lacks
+        from decimal import Decimal  # only here, off the start-up path
+
+        c = Fraction(c)
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
+
+
+def exact_number(digits: str) -> Fraction:
+    """Exact value of ASCII digits with an optional sign and decimal part, of
+    any length."""
+    try:
+        return Fraction(digits)
+    except ValueError:
+        from decimal import Decimal
+
+        return Fraction(Decimal(digits))
+
+
 def scaled(c: Fraction, body: str, times: str) -> str:
     """The term c*body: the body alone for c = 1, -body for c = -1, the
     coefficient alone for an empty body, else c `times` body."""
     if not body:
-        return str(c)
+        return exact_str(c)
     if c == 1:
         return body
     if c == -1:
         return "-" + body
-    return f"{c}{times}{body}"
+    return f"{exact_str(c)}{times}{body}"
 
 
 class AlgElem:
@@ -90,10 +113,6 @@ class AlgElem:
                     self.terms[tuple(w)] = c
 
     @classmethod
-    def zero(cls) -> "AlgElem":
-        return cls()
-
-    @classmethod
     def from_word(cls, w: Word, coeff=1) -> "AlgElem":
         return cls({tuple(w): Fraction(coeff)})
 
@@ -107,17 +126,11 @@ class AlgElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scalar_part(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     def items(self) -> Iterator:
         return iter(self.terms.items())
 
     def sorted_items(self) -> list:
         return sorted(self.terms.items(), key=lambda p: word_sort_key(p[0]))
-
-    def support(self) -> list:
-        return sorted(self.terms.keys(), key=word_sort_key)
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
         out = dict(self.terms)
@@ -179,7 +192,7 @@ class AlgElem:
 
     def to_json(self) -> list:
         return [
-            {"word": list(w), "coeff": str(c)} for w, c in self.sorted_items()
+            {"word": list(w), "coeff": exact_str(c)} for w, c in self.sorted_items()
         ]
 
 

@@ -29,6 +29,7 @@ from .algebra import (
     AlgElem,
     Word,
     enumerate_basis,
+    exact_str,
     phi,
     psi,
     shuffle,
@@ -162,7 +163,7 @@ class ApproximationResult:
 
 
 def _leading_coeff(e: AlgElem) -> Fraction:
-    return e.terms[e.support()[0]]
+    return e.sorted_items()[0][1]
 
 
 def select_core(computer: SeriesComputer, n: int, max_order: int) -> tuple:
@@ -306,7 +307,7 @@ def express_as_shuffle_poly(
         extra = {w for w in target.terms if w != ()}
         if extra:
             raise NotRepresentableError(target, 0)
-        c = target.scalar_part()
+        c = target.coeff(())
         terms = {(0,) * len(weights): c} if c != 0 else {}
         return ShufflePolynomial(weights, 0, terms)
     qs = weighted_multi_indices(weights, degree)
@@ -441,6 +442,6 @@ def check_self_consistency(result: ApproximationResult) -> None:
                 want = ltilde.coeff(word) if m == w_k else Fraction(0)
                 if got != want:
                     raise InternalConsistencyError(
-                        f"component {k + 1}, word {word}: series gives {got}, "
-                        f"projection demands {want}"
+                        f"component {k + 1}, word {word}: series gives "
+                        f"{exact_str(got)}, projection demands {exact_str(want)}"
                     )

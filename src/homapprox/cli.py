@@ -1,14 +1,17 @@
 """Command-line driver.
 
 Reads a declarative system description, runs the approximation pipeline
-and writes a report.  Exit codes: 0 success, 2 input error, 3 system not
-accessible up to the order cap, 4 autonomous approximation requested but
-nonexistent (the report, including the witness, is still produced),
-5 internal error.
+and writes a report.  Exit codes: 0 success, 2 input error or a report
+that --out or stdout cannot take, 3 system not accessible up to the
+order cap, 4 autonomous approximation requested but nonexistent (the
+report, including the witness, is still produced), 5 internal error.
+Constants of any length go through `algebra.exact_number` and
+`exact_str`; Python's int-to-string digit limit is left as it is.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys as _sys
 from pathlib import Path
@@ -17,7 +20,7 @@ from . import approx as ap
 from . import expr as ex
 from . import report as rp
 from . import verify as vf
-from .algebra import enumerate_basis
+from .algebra import enumerate_basis, exact_number
 from .series import ControlSystem, EquilibriumError
 
 EXIT_OK = 0
@@ -52,14 +55,14 @@ def parse_system_file(text: str) -> ControlSystem:
         if key == "n":
             if n is not None:
                 raise InputError(f"line {lineno}: n defined twice")
-            try:
-                n = int(value)
-            except ValueError:
+            digits = value[1:] if value[:1] in "+-" else value
+            if not (digits.isascii() and digits.isdigit()):
                 raise InputError(f"line {lineno}: n must be an integer")
+            n = exact_number(value).numerator
             if not 1 <= n <= 10:
                 raise InputError(f"line {lineno}: n must be between 1 and 10")
             continue
-        if len(key) >= 2 and key[0] in "ab" and key[1:].isdigit():
+        if len(key) >= 2 and key[0] in "ab" and key.isascii() and key[1:].isdigit():
             if key in entries:
                 raise InputError(f"line {lineno}: {key} defined twice")
             entries[key] = (lineno, value)
@@ -98,14 +101,10 @@ def run_verification(result: ap.ApproximationResult, seed: int = 20240801) -> di
     low = min(result.N, 4)
     shuffle_words = [w for m in range(1, low + 1) for w in enumerate_basis(m)]
     both = [*result.table.coeffs, *shuffle_words]
-    moments = [
-        vf.evaluate_moments(c, result.N, words)
-        for c, words in zip(controls, (both, both, result.table.coeffs))
-    ]
-    oc = vf.order_check(result.system, result.table, controls, moments=moments)
-    shuffle_res = max(
-        vf.max_shuffle_residual(c, low, xi) for c, xi in zip(controls[:2], moments)
-    )
+    words = (both, both, result.table.coeffs)
+    moments = [vf.evaluate_moments(c, ws) for c, ws in zip(controls, words)]
+    oc = vf.order_check(result.system, result.table, controls, moments)
+    shuffle_res = max(vf.max_shuffle_residual(xi, low) for xi in moments[:2])
     return {"order_check": oc, "shuffle_residual": shuffle_res}
 
 
@@ -147,15 +146,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    limit = _sys.get_int_max_str_digits()
-    _sys.set_int_max_str_digits(0)  # exact coefficients have any length
-    try:
-        return _run(build_arg_parser().parse_args(argv))
-    finally:
-        _sys.set_int_max_str_digits(limit)
-
-
-def _run(args) -> int:
+    args = build_arg_parser().parse_args(argv)
     if args.max_order < 1:
         print("error: --max-order must be >= 1", file=_sys.stderr)
         return EXIT_INPUT
@@ -191,7 +182,14 @@ def _run(args) -> int:
         print(f"error: --verify: {err}", file=_sys.stderr)
         return EXIT_INPUT
     rendered = getattr(rp, f"render_{args.format}")(result, args.mode, verification)
-    print(rendered)
+    try:
+        print(rendered, flush=True)
+    except OSError as err:  # stdout closed, e.g. a pipe whose reader quit
+        # send the unwritten rest to devnull, or the flush at exit fails again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), _sys.stdout.fileno())
+        print(f"error: cannot write the report: {err}", file=_sys.stderr)
+        return EXIT_INPUT
     if args.out:
         target = Path(args.out) / f"report.{_EXTENSIONS[args.format]}"
         try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algebra import scaled, signed_sum
+from .algebra import exact_number, exact_str, scaled, signed_sum
 
 # nesting levels the parser accepts, one per parenthesis, function call or '/'
 # in a chain: the recursive passes and --verify's generated code (at most 4
@@ -110,16 +110,11 @@ T = Var(0)
 
 def _key(e: Expr) -> str:
     if isinstance(e, Const):
-        try:
-            return f"0({e.value})"
-        except ValueError:  # past int.__str__'s digit limit; Decimal has none
-            from decimal import Decimal
-
-            return f"0({Decimal(e.value.numerator)}/{Decimal(e.value.denominator)})"
+        return f"0({exact_str(e.value)})"
     if isinstance(e, Var):
         return f"1({e.index:06d})"
     if isinstance(e, Pow):
-        return f"3({_key(e.base)},{e.exponent:04d})"
+        return f"3({_key(e.base)},{exact_str(e.exponent).zfill(4)})"
     if isinstance(e, Func):
         return f"4({e.name},{_key(e.arg)})"
     if isinstance(e, Quot):
@@ -354,7 +349,7 @@ def eval_at_origin(e: Expr) -> Fraction:
         v = eval_at_origin(e.arg)
         if v != 0:
             raise NonzeroTranscendentalError(
-                f"{e.name}({v}) has no exact rational value"
+                f"{e.name}({exact_str(v)}) has no exact rational value"
             )
         return Fraction(0) if e.name == "sin" else Fraction(1)
     raise TypeError(f"not an Expr: {e!r}")
@@ -389,6 +384,7 @@ def variables(e: Expr) -> set[int]:
 # parsing
 
 _WS = " \t\r\n"
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes non-ASCII digits
 
 
 class _Parser:
@@ -467,16 +463,21 @@ class _Parser:
                 self.error(str(err), caret)
         return e
 
+    def digits(self) -> int:
+        """Moves past the digits at the position; returns how many."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
+            self.pos += 1
+        return self.pos - start
+
     def parse_exponent(self) -> int:
         self.skip_ws()
         start = self.pos
-        if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
+        if not self.digits():
             self.error("'^' requires a non-negative integer literal", start)
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
+        if self.text.startswith(".", self.pos):
             self.error("'^' requires an integer exponent, not a decimal", start)
-        return int(self.text[start : self.pos])
+        return exact_number(self.text[start : self.pos]).numerator
 
     def parse_atom(self) -> Expr:
         c = self.peek()
@@ -484,7 +485,7 @@ class _Parser:
         if c == "(":
             self.take()
             return self.parse_group(start)
-        if c.isdigit():
+        if c in _DIGITS:
             return self.parse_number()
         if c.isalpha():
             return self.parse_name()
@@ -506,15 +507,12 @@ class _Parser:
     def parse_number(self) -> Const:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        self.digits()
+        if self.text.startswith(".", self.pos):
             self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
+            if not self.digits():
                 self.error("expected digits after decimal point", self.pos)
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-        return Const(Fraction(self.text[start : self.pos]))
+        return Const(exact_number(self.text[start : self.pos]))
 
     def parse_name(self) -> Expr:
         self.skip_ws()
@@ -529,8 +527,8 @@ class _Parser:
             return mk_func(name, self.parse_group(start))
         if name == "t":
             return T
-        if name.startswith("x") and name[1:].isdigit():
-            idx = int(name[1:])
+        if name.startswith("x") and name.isascii() and name[1:].isdigit():
+            idx = exact_number(name[1:]).numerator
             if idx < 1 or idx > self.n:
                 self.error(f"variable {name} out of range (n={self.n})", start)
             return Var(idx)
@@ -556,7 +554,7 @@ def _is_pow_atom(e: Expr) -> bool:
 
 def render(e: Expr) -> str:
     if isinstance(e, Const):
-        return str(e.value)
+        return exact_str(e.value)
     if isinstance(e, Var):
         return "t" if e.index == 0 else f"x{e.index}"
     if isinstance(e, Func):
@@ -565,7 +563,7 @@ def render(e: Expr) -> str:
         base = render(e.base)
         if not _is_pow_atom(e.base):
             base = f"({base})"
-        return f"{base}^{e.exponent}"
+        return f"{base}^{exact_str(e.exponent)}"
     if isinstance(e, Prod):
         c, factors = Fraction(1), e.factors
         if isinstance(factors[0], Const):

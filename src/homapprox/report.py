@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from . import expr as ex
-from .algebra import AlgElem, scaled, signed_sum
+from .algebra import AlgElem, exact_str, scaled, signed_sum
 from .approx import ApproximationResult, PolynomialSystem
 
 
@@ -36,7 +36,7 @@ def polynomial_latex(comp: dict) -> str:
 
 def polynomial_json(comp: dict) -> list:
     return [
-        {"t_power": k[0], "x_powers": list(k[1]), "coeff": str(c)}
+        {"t_power": k[0], "x_powers": list(k[1]), "coeff": exact_str(c)}
         for k, c in sorted(comp.items())
     ]
 
@@ -89,12 +89,12 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
     lines.append("Moment series (nonzero coefficients, orders <= N):")
     for w, vec in result.table.nonzero_items():
         word = " ".join(str(m) for m in w)
-        coeffs = ", ".join(str(c) for c in vec)
+        coeffs = ", ".join(map(exact_str, vec))
         lines.append(f"  v(xi_{{{word}}}) = ({coeffs})")
     lines.append("")
     lines.append("Core elements (independent moment directions):")
     for k, l in enumerate(result.core.ell):
-        vec = ", ".join(str(c) for c in l.vcoeff)
+        vec = ", ".join(map(exact_str, l.vcoeff))
         lines.append(
             f"  l_{k + 1} = g_{l.index} = {l.elem}  (order {l.order}, v = ({vec}))"
         )
@@ -174,7 +174,7 @@ def render_latex(result: ApproximationResult, mode: str = "both", verification=N
     series = []
     for w, vec in result.table.nonzero_items():
         word = r"\,".join(str(m) for m in w)
-        coeffs = ", ".join(str(c) for c in vec)
+        coeffs = ", ".join(map(exact_str, vec))
         series.append(rf"v(\xi_{{{word}}}) &= ({coeffs}) \\")
     lines.extend(_align(series))
     lines.append(r"\subsection*{Core and projection}")
@@ -240,14 +240,14 @@ def result_to_dict(result: ApproximationResult, mode: str = "both", verification
                     "word": list(l.word),
                     "order": l.order,
                     "element": l.elem.to_json(),
-                    "moment_image": [str(c) for c in l.vcoeff],
+                    "moment_image": [exact_str(c) for c in l.vcoeff],
                 }
                 for k, l in enumerate(result.core.ell)
             ],
             "ideal_generators": [
                 {
                     "order": d.order,
-                    "combination": [[str(c), i] for c, i in d.combo],
+                    "combination": [[exact_str(c), i] for c, i in d.combo],
                     "element": d.elem.to_json(),
                 }
                 for d in result.core.dees

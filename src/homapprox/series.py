@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .algebra import AlgElem, Word, enumerate_basis, word_order
+from .algebra import AlgElem, Word, enumerate_basis, exact_str, word_order
 
 
 class EquilibriumError(ValueError):
@@ -67,7 +67,7 @@ def validate_equilibrium(sys: ControlSystem) -> None:
                 ) from err
             if val != 0:
                 raise EquilibriumError(
-                    f"a{i + 1}(t,0) = {val} != 0 at t = {t_val}; "
+                    f"a{i + 1}(t,0) = {exact_str(val)} != 0 at t = {t_val}; "
                     "the origin must be an equilibrium of the drift"
                 )
 
@@ -214,7 +214,7 @@ class JetSystem:
             a0 = arg.get(0, 0)
             if a0:
                 raise ex.NonzeroTranscendentalError(
-                    f"{e.name}({a0}) has no exact rational value"
+                    f"{e.name}({exact_str(a0)}) has no exact rational value"
                 )
             return self._compose(arg, _series_coeffs(e.name, self.D))
         raise TypeError(f"not an Expr: {e!r}")
@@ -289,7 +289,7 @@ class SeriesTable:
 
     def to_json(self) -> list:
         return [
-            {"word": list(w), "coeff": [str(c) for c in vec]}
+            {"word": list(w), "coeff": [exact_str(c) for c in vec]}
             for w, vec in self.nonzero_items()
         ]
 

@@ -27,6 +27,7 @@ from .series import ControlSystem, SeriesTable
 
 DEFAULT_STEPS = 2000
 NOISE_FLOOR = 1e-13
+THETAS = tuple(0.2 * 2**-j for j in range(6))  # order_check's horizons
 CONTROL_VALUES = (-1.0, -0.5, 0.5, 1.0)
 # piece counts dividing DEFAULT_STEPS, as backward_endpoint requires, so
 # switches land on its grid nodes
@@ -51,11 +52,10 @@ def random_control(rng) -> PiecewiseConstantControl:
     return PiecewiseConstantControl(values)
 
 
-def evaluate_moments(control: PiecewiseConstantControl, N: int, words=None) -> dict:
+def evaluate_moments(control: PiecewiseConstantControl, words) -> dict:
     """Exact values at sigma = 1 of the moments of the given words and of
     their suffixes, the empty word included, with the control spread over
-    the unit horizon; all words of order <= N when words is None (N is not
-    used otherwise).
+    the unit horizon.
 
     xi_{m1 w'}(s) is the integral from 0 to s of r^{m1} u(r) xi_{w'}(r).
     With k pieces whose values are g_j / q (g_j integers), the scaled
@@ -68,11 +68,7 @@ def evaluate_moments(control: PiecewiseConstantControl, N: int, words=None) -> d
     identity) in integers, with words in order of increasing order so
     that each tail is known, and divided out once at the end.
     """
-    if words is None:
-        words = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
-    else:
-        suffixes = {w[i:] for w in words for i in range(len(w))}
-        words = sorted(suffixes, key=word_sort_key)
+    words = sorted({w[i:] for w in words for i in range(len(w))}, key=word_sort_key)
     pieces = [Fraction(u) for u in control.values]
     q = math.lcm(*(u.denominator for u in pieces))
     denom = {(): 1}
@@ -117,7 +113,8 @@ def _py(e: ex.Expr, names: tuple) -> str:
     if isinstance(e, ex.Quot):
         return f"({_py(e.num, names)}/{_py(e.den, names)})"
     if isinstance(e, ex.Pow):
-        return f"({_py(e.base, names)}**{e.exponent})"
+        # hex: compile refuses decimal literals past the int-to-string limit
+        return f"({_py(e.base, names)}**{hex(e.exponent)})"
     if isinstance(e, ex.Func):
         return f"math.{e.name}({_py(e.arg, names)})"
     raise TypeError(f"not an Expr: {e!r}")
@@ -268,15 +265,11 @@ class OrderCheckResult:
 
 
 def order_check(
-    sys: ControlSystem, table: SeriesTable, controls, thetas=None, moments=None
+    sys: ControlSystem, table: SeriesTable, controls, moments, thetas=THETAS
 ) -> OrderCheckResult:
     """Residual between series prediction and backward integration must
     vanish at rate theta^(N+1): fitted slope >= N + 0.7 per control.
-    moments, if given, holds each control's moments of the table's words."""
-    if thetas is None:
-        thetas = tuple(0.2 * 2**-j for j in range(6))
-    if moments is None:
-        moments = [evaluate_moments(c, table.N, table.coeffs) for c in controls]
+    moments holds each control's moments of the table's words."""
     integrate = compile_backward(sys)
     checks = []
     for control, xi in zip(controls, moments):
@@ -296,15 +289,11 @@ def shuffle_identity_residual(moments: dict, w1: Word, w2: Word) -> Fraction:
     return lhs - sum(mult * moments[w] for w, mult in _shuffle_words(w1, w2))
 
 
-def max_shuffle_residual(
-    control: PiecewiseConstantControl, max_order: int, moments=None
-) -> float:
-    """Largest |shuffle-identity violation| over all word pairs whose
-    orders sum to at most max_order; the identity is homogeneous in the
-    horizon, so the unit horizon checks every theta.  moments, if given,
-    must hold the control's moments of every word of order <= max_order."""
-    if moments is None:
-        moments = evaluate_moments(control, max_order)
+def max_shuffle_residual(moments: dict, max_order: int) -> float:
+    """Largest |shuffle-identity violation| among one control's moments,
+    over all word pairs whose orders sum to at most max_order; moments
+    must hold every word of order <= max_order.  The identity is
+    homogeneous in the horizon, so the unit horizon checks every theta."""
     return float(max(
         (
             abs(shuffle_identity_residual(moments, w1, w2))

@@ -1,17 +1,20 @@
 """The moments as `verify.evaluate_moments` integrated them before its
 integer kernel: polynomials in Fractions, piece by piece.
-`verify.evaluate_moments` must return exactly the same dict."""
+`verify.evaluate_moments` must return exactly the same dict.  Also the
+word list that the tests pass for "all moments up to order N"."""
 from fractions import Fraction
 
 from homapprox.algebra import enumerate_basis, word_sort_key
 
 
-def reference_moments(control, N, words=None):
-    if words is None:
-        words = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
-    else:
-        suffixes = {w[i:] for w in words for i in range(len(w))}
-        words = sorted(suffixes, key=word_sort_key)
+def all_words(N):
+    """Every word of order <= N, in canonical order."""
+    return [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+
+
+def reference_moments(control, words):
+    suffixes = {w[i:] for w in words for i in range(len(w))}
+    words = sorted(suffixes, key=word_sort_key)
     values = {(): Fraction(1), **dict.fromkeys(words, Fraction(0))}
     k = len(control.values)
     for j, u in enumerate(control.values):

@@ -14,7 +14,13 @@ from homapprox.approx import (
 from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
 from homapprox import lie as lie_mod
 from homapprox.series import SeriesComputer
-from homapprox.verify import max_shuffle_residual, order_check, random_control
+from homapprox.verify import (
+    evaluate_moments,
+    max_shuffle_residual,
+    order_check,
+    random_control,
+)
+from reference_moments import all_words
 from reparse import reparsed
 from rowspace import spans_ideal_block
 from slopes import order_check_passed
@@ -209,10 +215,11 @@ def test_criterion_8_numerical_order(sys3):
         table = SeriesComputer(sys3).table_up_to(4)
         rng = random.Random(20240801)
         controls = [random_control(rng) for _ in range(10)]
-        result = order_check(sys3, table, controls)
+        moments = [evaluate_moments(c, all_words(4)) for c in controls]
+        result = order_check(sys3, table, controls, moments)
         assert result.required_slope == 4.7
         assert order_check_passed(result), [c.slope for c in result.checks]
-        worst = max(max_shuffle_residual(c, 4) for c in controls[:3])
+        worst = max(max_shuffle_residual(xi, 4) for xi in moments[:3])
         assert worst <= 1e-8, worst
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f} s"

@@ -1,11 +1,12 @@
 import dataclasses
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from homapprox import expr as ex
-from homapprox import series
+from homapprox import report, series
 from homapprox.algebra import AlgElem, enumerate_basis, phi, vectorize
 from homapprox.approx import (
     NoAutonomousApproximation,
@@ -229,7 +230,7 @@ def test_express_shuffle_not_representable():
 def test_express_shuffle_degree_zero_and_empty():
     poly = express_as_shuffle_poly(AlgElem.scalar(2), [], (), 0)
     assert poly.terms == {(): F(2)}
-    assert express_as_shuffle_poly(AlgElem.zero(), [], (), 3).terms == {}
+    assert express_as_shuffle_poly(AlgElem(), [], (), 3).terms == {}
     with pytest.raises(NotRepresentableError):
         express_as_shuffle_poly(xi(0), [], (), 0)
     with pytest.raises(NotRepresentableError):
@@ -358,6 +359,10 @@ def test_huge_constants_run_outside_the_cli():
     )
     check_self_consistency(res)
     assert res.weights == (1, 3)
+    # and every report prints its coefficients in full
+    digits = str(Decimal(2**65536))
+    for render in (report.render_text, report.render_latex, report.render_json):
+        assert digits in render(res)
     assert sys.get_int_max_str_digits() == limit
     with pytest.raises(ex.ExprSyntaxError):
         system_from_strings(2, ["0", "x1^2"], ["1 + 2^65537*x1", "0"])

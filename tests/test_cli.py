@@ -1,15 +1,23 @@
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homapprox import cli
 from homapprox import expr as ex
+from homapprox import verify as vf
 from homapprox.algebra import AlgElem
 from homapprox.approx import approximate
 from homapprox.cli import (
@@ -95,6 +103,10 @@ def test_parse_rejects_malformed_input():
         parse_system_file("n = one\na1 = 0\nb1 = 1\n")
     with pytest.raises(InputError, match="between 1 and 10"):
         parse_system_file("n = 11\n")
+    # past Python's int-to-string digit limit n is still an integer
+    with pytest.raises(InputError, match="between 1 and 10"):
+        parse_system_file("n = " + "1" * 5000 + "\n")
+    assert parse_system_file("n = +1\na1 = 0\nb1 = 1\n").n == 1
     with pytest.raises(InputError, match="expected 'name = expression'"):
         parse_system_file("n = 1\njunk\n")
 
@@ -393,6 +405,41 @@ def test_main_maps_a_verification_overflow(tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_main_verify_compiles_huge_exponents(tmp_path, capsys):
+    # a 5000-digit exponent compiles (as a hex literal) outside the CLI too,
+    # and only the float it makes overflows
+    limit = sys.get_int_max_str_digits()
+    b1 = "1 + x1^" + "1" * 5000
+    p = tmp_path / "power.txt"
+    p.write_text(f"n = 1\na1 = 0\nb1 = {b1}\n")
+    code = main(["--input", str(p), "--max-order", "3", "--verify"])
+    assert code == EXIT_INPUT
+    message = "error: --verify: int too large to convert to float\n"
+    assert capsys.readouterr().err == message
+    integrate = vf.compile_backward(system_from_strings(1, ["0"], [b1]))
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        integrate((1.0,), 0.1, 10)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_closed_stdout_ends_in_exit_2(ex1_file):
+    # the reader of the pipe is gone before the report is written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homapprox.cli", "--input", str(ex1_file)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: cannot write the report: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_console_script_runs(ex1_file):
     proc = subprocess.run(
         [sys.executable, "-m", "homapprox.cli", "--input", str(ex1_file)],
@@ -542,5 +589,110 @@ def test_elem_latex():
 
     l2 = F(1, 5) * xi(2) - F(2, 5) * xi(0, 1)
     assert elem_latex(l2) == r"1/5\,\xi_{2} - 2/5\,\xi_{0\,1}"
-    assert elem_latex(AlgElem.zero()) == "0"
+    assert elem_latex(AlgElem()) == "0"
     assert elem_latex(xi(0) - xi(1)) == r"\xi_{0} - \xi_{1}"
+
+
+# ---------------------------------------------------------------------------
+# hostile input files
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.builds("{}.{}".format, st.integers(0, 99), st.integers(0, 99)),
+    # literals of up to 5000 digits
+    st.builds(str.__mul__, st.sampled_from("1379"), st.integers(1, 5000)),
+)
+# exponents of up to 30 digits
+_EXPONENTS = st.integers(0, 3).map(str) | st.integers(0, 10**30 - 1).map(str)
+
+
+def _sound(inner):
+    """Grammatical expressions over the states, t and the functions."""
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, _EXPONENTS),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), inner),
+        inner.map("-({})".format),
+    )
+
+
+def _broken(inner):
+    """Unknown names and functions, nesting past MAX_DEPTH, stray characters."""
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({})".format, st.sampled_from(["tan", "log", "sin "]), inner),
+        st.builds(lambda k, e: "(" * k + e + ")" * k, st.integers(28, 36), inner),
+        st.builds("{}{}".format, inner, st.sampled_from([*"()^=#²", "^1.5"])),
+    )
+
+
+_SOUND = st.recursive(
+    _NUMBERS | st.sampled_from(["t", "x1", "x2", "x3"]), _sound, max_leaves=6
+)
+_BROKEN = st.recursive(
+    _SOUND | st.sampled_from(["x0", "x4", "x01", "x", "y", "u", "x²", "x١"]),
+    _broken,
+    max_leaves=4,
+)
+# duplicate, out-of-range and unknown keys
+_KEYS = st.one_of(
+    st.sampled_from(["n", "a1", "b1", "a3", "b4", "a0", "a01", "x1", "a²"]),
+    st.text("abnx019²_ ", max_size=4),
+)
+_N_VALUES = st.one_of(
+    st.integers(-1, 12).map(str), st.sampled_from(["1.5", "two", "", "1" * 5000])
+)
+
+
+def _rarely(draw) -> bool:
+    # Hypothesis draws small integers most and shrinks toward 0
+    return draw(st.integers(0, 5)) == 5
+
+
+@st.composite
+def hostile_files(draw):
+    """A system file of dimension 1-3: sound components (drifts vanishing
+    at the origin) and at times broken ones, a bad n line, an extra key, a
+    duplicate or a missing line."""
+    n = draw(st.integers(1, 3))
+    lines = []
+    for prefix in "ab":
+        for i in range(1, n + 1):
+            e = draw(_BROKEN if _rarely(draw) else _SOUND)
+            drift = prefix == "a" and not _rarely(draw)
+            lines.append(f"{prefix}{i} = " + (f"x{i} * ({e})" if drift else e))
+    lines.append(f"n = {draw(_N_VALUES) if _rarely(draw) else n}")
+    if _rarely(draw):
+        lines.append(draw(st.builds("{} = {}".format, _KEYS, _BROKEN)))
+    lines = draw(st.permutations(lines))
+    return "\n".join(lines[1:] if _rarely(draw) else lines) + "\n"
+
+
+# seconds one hostile file may take; the slowest of 2000 random draws took 0.26 s
+HOSTILE_SECONDS = 5.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=hostile_files())
+# non-ASCII digits, which str.isdigit takes and int and Fraction refuse
+@example(text="n = 1\na1 = 0\nb1 = x²\n")
+@example(text="n = 1\na1 = 0\nb1 = x1^²\n")
+@example(text="n = 1\na1 = 0\nb1 = ²\n")
+@example(text="n = 1\na1 = 0\nb1 = 1\na² = 0\n")
+def test_hostile_input_ends_in_a_documented_exit_property(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.txt"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--input", str(path), "--max-order", "3"])
+        elapsed = time.perf_counter() - start
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NOT_ACCESSIBLE, EXIT_NO_AUTONOMOUS), err
+    assert "Traceback" not in err
+    if code == EXIT_INPUT:
+        assert err.startswith("error: "), err
+        # the line, the component or the option at fault
+        assert re.search(r"\bline\b|\b[ab]\d+\b|--[a-z]", err.splitlines()[0]), err
+    assert elapsed < HOSTILE_SECONDS

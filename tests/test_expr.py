@@ -1,5 +1,6 @@
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,20 @@ def test_huge_constants_sort_past_the_digit_limit():
     assert ex.parse_expr("x1 - 1/2^65536", 3) == ex.Sum(
         (ex.Const(-1 / huge.value), ex.Var(1))
     )
+    # they print in full outside the CLI, as do literals and exponents of
+    # 5000 digits, and the text parses back to the same tree
+    head, tail = str(ex.parse_expr("x1 + 2^65536", 1)).split(" + ")
+    assert Decimal(head) == 2**65536 and tail == "x1"
+    ones, repunit = "1" * 5000, (10**5000 - 1) // 9
+    assert ex.parse_expr(ones, 1) == ex.Const(F(repunit))
+    literal = ex.parse_expr(f"x1 - {ones}.5", 1)
+    assert literal == ex.Sum((ex.Const(-F(2 * repunit + 1, 2)), ex.Var(1)))
+    assert str(literal) == "-" + "2" * 4999 + "3/2 + x1"
+    power = ex.parse_expr(f"3*x1^{ones}", 1)
+    assert power == ex.Prod((ex.Const(F(3)), ex.Pow(ex.Var(1), repunit)))
+    assert str(power) == f"3*x1^{ones}"
+    for e in (literal, power):
+        assert ex.parse_expr(str(e), 1) == e
     assert sys.get_int_max_str_digits() == limit
     # the key of a constant that str prints is still str's
     assert ex._key(ex.Const(F(-7, 3))) == "0(-7/3)"

@@ -14,6 +14,7 @@ from homapprox.verify import (
     CONTROL_PIECES,
     CONTROL_VALUES,
     DEFAULT_STEPS,
+    THETAS,
     PiecewiseConstantControl,
     VerificationError,
     backward_endpoint,
@@ -26,14 +27,17 @@ from homapprox.verify import (
     residual,
     series_prediction,
 )
-from reference_moments import reference_moments
+from reference_moments import all_words, reference_moments
 from reference_rk4 import reference_backward_endpoint, reference_field, sample
 from reparse import reparsed
 from slopes import order_check_passed
 
 U_ONE = PiecewiseConstantControl((1.0,))
-# order_check's horizons
-THETAS = tuple(0.2 * 2**-j for j in range(6))
+
+
+def checked_moments(controls, table):
+    """Each control's moments of the table's words, as order_check takes them."""
+    return [evaluate_moments(c, table.coeffs) for c in controls]
 
 
 def test_control_sampling():
@@ -61,7 +65,7 @@ def test_random_control_shape():
 def test_moments_constant_control_closed_forms():
     # with u = 1 on the unit horizon: xi_(m) = 1/(m+1), and nesting
     # integrates the tail
-    moments = evaluate_moments(U_ONE, 4)
+    moments = evaluate_moments(U_ONE, all_words(4))
     assert moments[()] == 1
     assert moments[(0,)] == F(1)
     assert moments[(1,)] == F(1, 2)
@@ -86,7 +90,7 @@ def test_moments_match_sympy_piecewise_integrals():
         for w in enumerate_basis(m):
             integrand = r ** w[0] * u * want[w[1:]].subs(s, r)
             want[w] = sympy.piecewise_fold(sympy.integrate(integrand, (r, 0, s)))
-    got = evaluate_moments(PiecewiseConstantControl((-0.5, 1.0)), 5)
+    got = evaluate_moments(PiecewiseConstantControl((-0.5, 1.0)), all_words(5))
     assert set(got) == set(want)
     for w, xi in want.items():
         assert sympy.Rational(got[w].numerator, got[w].denominator) == xi.subs(s, 1), w
@@ -105,7 +109,7 @@ def test_series_prediction_matches_backward_for_exact_series(sys_scalar):
     table = SeriesComputer(sys_scalar).table_up_to(3)
     u = PiecewiseConstantControl((1.0, -0.5, 0.5, 1.0))
     theta = 0.3
-    moments = evaluate_moments(u, 3)
+    moments = evaluate_moments(u, all_words(3))
     predicted = series_prediction(table, moments, theta)
     actual = backward_endpoint(sys_scalar, u, theta)
     assert predicted[0] == pytest.approx(actual[0], abs=1e-12)
@@ -153,7 +157,7 @@ def test_order_check_on_worked_example(sys3):
         PiecewiseConstantControl((1.0, -1.0, 0.5, -0.5)),
         PiecewiseConstantControl((-0.5, 1.0, 1.0, -1.0, 0.5, -1.0, 0.5, 1.0)),
     ]
-    result = order_check(sys3, table, controls)
+    result = order_check(sys3, table, controls, checked_moments(controls, table))
     assert result.N == 4
     assert result.required_slope == pytest.approx(4.7)
     assert order_check_passed(result), [c.slope for c in result.checks]
@@ -164,10 +168,9 @@ def test_order_check_fails_for_wrong_series(sys3):
     # corrupt one coefficient: the residual saturates at order 1
     table = SeriesComputer(sys3).table_up_to(4)
     table.coeffs[(0,)] = (table.coeffs[(0,)][0] + 1, *table.coeffs[(0,)][1:])
+    controls = [PiecewiseConstantControl((1.0, -0.5, 1.0, 0.5))]
     try:
-        result = order_check(
-            sys3, table, [PiecewiseConstantControl((1.0, -0.5, 1.0, 0.5))]
-        )
+        result = order_check(sys3, table, controls, checked_moments(controls, table))
         assert not order_check_passed(result)
         assert min(c.slope for c in result.checks if c.slope is not None) < 2.0
     finally:
@@ -179,31 +182,29 @@ def test_order_check_approximation_output(sys3):
     res = approximate(sys3)
     out = reparsed(res.nonautonomous)
     table = SeriesComputer(out).table_up_to(4)
-    result = order_check(
-        out, table, [PiecewiseConstantControl((0.5, -1.0, 1.0, -0.5))]
-    )
+    controls = [PiecewiseConstantControl((0.5, -1.0, 1.0, -0.5))]
+    result = order_check(out, table, controls, checked_moments(controls, table))
     assert order_check_passed(result)
 
 
 def test_shuffle_identity_numerically():
     rng = random.Random(12)
     for _ in range(12):
-        u = random_control(rng)
-        assert max_shuffle_residual(u, 4) == 0.0
-    # given moments are the ones checked
-    moments = evaluate_moments(u, 4)
+        moments = evaluate_moments(random_control(rng), all_words(4))
+        assert max_shuffle_residual(moments, 4) == 0.0
+    # the given moments are the ones checked
     moments[(0, 0)] += 1
-    assert max_shuffle_residual(u, 4, moments) > 0.0
+    assert max_shuffle_residual(moments, 4) > 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6), data=st.data())
 def test_restricted_moments_match_all_moments_property(seed, N, data):
     control = random_control(random.Random(seed))
-    everything = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+    everything = all_words(N)
     words = data.draw(st.lists(st.sampled_from(everything), max_size=6))
-    full = evaluate_moments(control, N)
-    got = evaluate_moments(control, N, words)
+    full = evaluate_moments(control, everything)
+    got = evaluate_moments(control, words)
     suffixes = {()} | {w[i:] for w in words for i in range(len(w))}
     assert set(got) == suffixes
     assert all(got[w] == full[w] for w in suffixes)
@@ -224,12 +225,14 @@ def test_restricted_moments_match_all_moments_property(seed, N, data):
 )
 def test_integer_moments_match_the_fraction_reference_property(values, N, data):
     control = PiecewiseConstantControl(tuple(values))
-    everything = [w for m in range(1, N + 1) for w in enumerate_basis(m)]
+    everything = all_words(N)
     words = data.draw(
-        st.one_of(st.none(), st.lists(st.sampled_from(everything), max_size=6))
+        st.one_of(
+            st.just(everything), st.lists(st.sampled_from(everything), max_size=6)
+        )
     )
-    got = evaluate_moments(control, N, words)
-    assert got == reference_moments(control, N, words)
+    got = evaluate_moments(control, words)
+    assert got == reference_moments(control, words)
     assert all(type(v) is F for v in got.values())
 
 
@@ -274,9 +277,9 @@ def test_run_verification_integrates_each_control_once(sys3, monkeypatch):
     calls = []
     evaluate = vf.evaluate_moments
 
-    def counted(control, N, words=None):
+    def counted(control, words):
         calls.append(control)
-        return evaluate(control, N, words)
+        return evaluate(control, words)
 
     monkeypatch.setattr(vf, "evaluate_moments", counted)
     got = run_verification(result)
@@ -284,7 +287,11 @@ def test_run_verification_integrates_each_control_once(sys3, monkeypatch):
     # the same numbers as integrating every word for each check on its own
     monkeypatch.setattr(vf, "evaluate_moments", evaluate)
     controls = [c.control for c in got["order_check"].checks]
-    alone = order_check(sys3, result.table, controls)
+    table = result.table
+    alone = order_check(sys3, table, controls, checked_moments(controls, table))
     assert alone == got["order_check"]
-    shuffle = max(max_shuffle_residual(c, min(result.N, 4)) for c in controls[:2])
+    low = min(result.N, 4)
+    shuffle = max(
+        max_shuffle_residual(evaluate(c, all_words(low)), low) for c in controls[:2]
+    )
     assert got["shuffle_residual"] == shuffle
