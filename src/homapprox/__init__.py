@@ -17,7 +17,6 @@ from .algebra import (
     concat,
     enumerate_basis,
     phi,
-    psi,
     shuffle,
     shuffle_power,
     vectorize,

@@ -2,15 +2,17 @@
 
 A word (m1, ..., mk) stands for the basis element xi_{m1 ... mk}; its
 order is m1 + ... + mk + k and its length is k.  Elements are finite
-rational combinations of words, stored sparsely.  Besides the
-concatenation product the module provides the shuffle product, the
-derivation phi and the letter-stripping map psi used by the autonomous
-construction.
+rational combinations of words, stored sparsely; every operation
+that can cancel terms builds its result through `collect`, which sums
+the coefficients of equal words and drops the zeros once, at the end.
+Besides the concatenation product the module provides the shuffle
+product and the derivation phi used by the autonomous construction.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
 Word = tuple  # tuple[int, ...]
@@ -100,17 +102,15 @@ def scaled(c: Fraction, body: str, times: str) -> str:
 
 class AlgElem:
     """Sparse element of the free algebra (plus an optional scalar part,
-    keyed by the empty word, which psi produces)."""
+    keyed by the empty word, such as a shuffle power's constant 1 or the
+    prefix of a length-1 word)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(w)] = c
+        # zeros are dropped after the Fraction conversion
+        pairs = ((tuple(w), Fraction(c)) for w, c in (terms or {}).items())
+        self.terms = collect(pairs).terms
 
     @classmethod
     def from_word(cls, w: Word, coeff=1) -> "AlgElem":
@@ -133,16 +133,7 @@ class AlgElem:
         return sorted(self.terms.items(), key=lambda p: word_sort_key(p[0]))
 
     def __add__(self, other: "AlgElem") -> "AlgElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        r = AlgElem()
-        r.terms = out
-        return r
+        return collect(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "AlgElem") -> "AlgElem":
         return self + (-other)
@@ -207,20 +198,24 @@ def vectorize(e: AlgElem, m: int) -> list:
     return vec
 
 
+def collect(pairs) -> AlgElem:
+    """The element sum c*w over (word, coefficient) pairs: coefficients of
+    equal words are summed, and the zero sums dropped once, at the end."""
+    sums: dict = {}
+    for w, c in pairs:
+        sums[w] = sums.get(w, 0) + c
+    r = AlgElem.__new__(AlgElem)
+    r.terms = {w: c for w, c in sums.items() if c}
+    return r
+
+
 def concat(e1: AlgElem, e2: AlgElem) -> AlgElem:
     """Concatenation product; orders add."""
-    out: dict = {}
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            w = w1 + w2
-            s = out.get(w, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-    r = AlgElem()
-    r.terms = out
-    return r
+    return collect(
+        (w1 + w2, c1 * c2)
+        for w1, c1 in e1.terms.items()
+        for w2, c2 in e2.terms.items()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -243,23 +238,14 @@ def _shuffle_words(w1: Word, w2: Word) -> tuple:
 def shuffle(e1: AlgElem, e2: AlgElem) -> AlgElem:
     """Shuffle product; bilinear over the word recursion
     u xi_a sh v xi_b = (u sh v xi_b) xi_a + (u xi_a sh v) xi_b."""
-    out: dict = {}
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            c = c1 * c2
-            if w1 <= w2:
-                pairs = _shuffle_words(w1, w2)
-            else:
-                pairs = _shuffle_words(w2, w1)
-            for w, mult in pairs:
-                s = out.get(w, Fraction(0)) + c * mult
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-    r = AlgElem()
-    r.terms = out
-    return r
+    def pairs():
+        for w1, c1 in e1.terms.items():
+            for w2, c2 in e2.terms.items():
+                c = c1 * c2
+                for w, mult in _shuffle_words(min(w1, w2), max(w1, w2)):
+                    yield w, c * mult
+
+    return collect(pairs())
 
 
 def shuffle_power(e: AlgElem, q: int) -> AlgElem:
@@ -274,35 +260,9 @@ def shuffle_power(e: AlgElem, q: int) -> AlgElem:
 
 def phi(e: AlgElem) -> AlgElem:
     """Derivation with phi(xi_0) = 0 and phi(xi_m) = m xi_{m-1}."""
-    out: dict = {}
-    for w, c in e.terms.items():
-        for i, mi in enumerate(w):
-            if mi == 0:
-                continue
-            key = w[:i] + (mi - 1,) + w[i + 1 :]
-            s = out.get(key, Fraction(0)) + mi * c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    r = AlgElem()
-    r.terms = out
-    return r
-
-
-def psi(e: AlgElem) -> AlgElem:
-    """Drops a trailing xi_0 (psi(xi_0) = 1); words not ending in xi_0
-    are sent to zero.  Lowers order by exactly 1 on its support."""
-    out: dict = {}
-    for w, c in e.terms.items():
-        if not w or w[-1] != 0:
-            continue
-        key = w[:-1]
-        s = out.get(key, Fraction(0)) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    r = AlgElem()
-    r.terms = out
-    return r
+    return collect(
+        (w[:i] + (mi - 1,) + w[i + 1 :], mi * c)
+        for w, c in e.terms.items()
+        for i, mi in enumerate(w)
+        if mi
+    )

@@ -5,9 +5,11 @@ over the orders, the core Lie elements l_1..l_n (whose images under v
 are independent) together with correction elements d_j generating a
 right ideal J, projects each l_i onto the orthogonal complement of J in
 its order, and reconstructs polynomial approximating systems from the
-projected elements: always a non-autonomous one, and an autonomous one
-exactly when the phi/psi images of every projected element are shuffle
-polynomials in the previous ones.
+projected elements.  Both are read off one last-letter split of each
+l~_i: the non-autonomous system always exists, with its t^j part from the
+prefixes of the words ending in xi_j; the autonomous one takes the t^0
+part of that as its b and exists exactly when the phi image of every
+projected element is a shuffle polynomial in the previous ones.
 
 The complement is built order by order from its last letters, never from
 the 2^(m-1)-wide graded blocks of J: right multiplication by a letter is
@@ -28,10 +30,10 @@ from functools import reduce
 from .algebra import (
     AlgElem,
     Word,
+    collect,
     enumerate_basis,
     exact_str,
     phi,
-    psi,
     shuffle,
     shuffle_power,
     vectorize,
@@ -123,11 +125,11 @@ class ShufflePolynomial:
 
 @dataclass
 class NoAutonomousApproximation:
-    """Witness that the autonomous construction fails: the phi or psi
-    image of l~_i is not a shuffle polynomial in l~_1..l~_{i-1}."""
+    """Witness that the autonomous construction fails: the phi image of
+    l~_i is not a shuffle polynomial in l~_1..l~_{i-1}."""
 
     index: int  # 1-based i of the failing projected element
-    kind: str  # "phi" or "psi"
+    kind: str  # the failing map, always "phi"; the reports print it
     witness: AlgElem
     order: int
 
@@ -220,12 +222,9 @@ def _inner(e1: AlgElem, e2: AlgElem) -> Fraction:
 
 
 def _combine(coeffs, elems: list) -> AlgElem:
-    terms: dict = {}
-    for c, e in zip(coeffs, elems):
-        if c:
-            for w, cw in e.terms.items():
-                terms[w] = terms.get(w, 0) + c * cw
-    return AlgElem(terms)
+    return collect(
+        (w, c * cw) for c, e in zip(coeffs, elems) if c for w, cw in e.terms.items()
+    )
 
 
 def build_ideal_blocks(core: CoreDecomposition) -> dict:
@@ -339,67 +338,49 @@ def _pad_exponents(q, n: int) -> tuple:
 def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialSystem:
     """Non-autonomous approximating system: a = 0 and
 
-        b_i = -sum_j P_{j,i}(x_1..x_{i-1}) t^j - alpha_i t^{w_i - 1}
+        b_i = -sum_j P_{j,i}(x_1..x_{i-1}) t^j
 
-    where splitting l~_i by last letter gives l~_i = sum_j y_j xi_j +
-    alpha_i xi_{w_i-1} and P_j represents y_j as a shuffle polynomial of
-    weighted degree w_i - j - 1 in l~_1..l~_{i-1}."""
+    where splitting l~_i by its last letter gives l~_i = sum_j y_j xi_j and
+    P_{j,i} represents y_j as a shuffle polynomial of weighted degree
+    w_i - j - 1 in l~_1..l~_{i-1}.  The length-1 word xi_{w_i - 1} has the
+    empty prefix, so y_{w_i - 1} is a constant, of degree 0."""
     n = core.n
     weights = core.weights
-    a = [dict() for _ in range(n)]
     b = []
-    for i, (l, ltilde) in enumerate(zip(core.ell, projected)):
-        w_i = l.order
-        alpha = Fraction(0)
+    for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
         tails: dict = {}
         for word, c in ltilde.terms.items():
-            if len(word) == 1:
-                # the unique length-1 word of order w_i is xi_{w_i - 1}
-                alpha += c
-                continue
             tails.setdefault(word[-1], {})[word[:-1]] = c
         comp: dict = {}
         for j in sorted(tails):
-            y = AlgElem(tails[j])
             poly = express_as_shuffle_poly(
-                y, projected[:i], weights[:i], w_i - j - 1
+                AlgElem(tails[j]), projected[:i], weights[:i], w_i - j - 1
             )
             for q, c in poly.terms.items():
-                key = (j, _pad_exponents(q, n))
-                comp[key] = comp.get(key, Fraction(0)) - c
-        if alpha != 0:
-            key = (w_i - 1, (0,) * n)
-            comp[key] = comp.get(key, Fraction(0)) - alpha
-        b.append({k: c for k, c in comp.items() if c != 0})
-    return PolynomialSystem(n, weights, a, b)
+                comp[(j, _pad_exponents(q, n))] = -c
+        b.append(comp)
+    return PolynomialSystem(n, weights, [dict() for _ in range(n)], b)
 
 
-def build_autonomous(core: CoreDecomposition, projected: list):
-    """Autonomous approximating system a_i = -P_{1,i}(x), b_i = -P_{2,i}(x)
-    from shuffle polynomial representations of phi(l~_i) and psi(l~_i) of
-    weighted degree w_i - 1; returns a nonexistence witness when some
-    image is not representable."""
+def build_autonomous(
+    core: CoreDecomposition, projected: list, nonautonomous: PolynomialSystem
+):
+    """Autonomous approximating system a_i = -P_i(x), from a shuffle
+    polynomial representation P_i of phi(l~_i) of weighted degree w_i - 1,
+    and b_i the t^0 part of the non-autonomous b_i, which represents the
+    xi_0-tail of l~_i; returns a nonexistence witness when some phi image
+    is not representable."""
     n = core.n
     weights = core.weights
     a = []
-    b = []
-    for i, (l, ltilde) in enumerate(zip(core.ell, projected)):
-        w_i = l.order
-        for kind, image, bucket in (
-            ("phi", phi(ltilde), a),
-            ("psi", psi(ltilde), b),
-        ):
-            try:
-                poly = express_as_shuffle_poly(
-                    image, projected[:i], weights[:i], w_i - 1
-                )
-            except NotRepresentableError:
-                return NoAutonomousApproximation(i + 1, kind, image, w_i - 1)
-            comp = {}
-            for q, c in poly.terms.items():
-                if c != 0:
-                    comp[(0, _pad_exponents(q, n))] = -c
-            bucket.append(comp)
+    for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
+        image = phi(ltilde)
+        try:
+            poly = express_as_shuffle_poly(image, projected[:i], weights[:i], w_i - 1)
+        except NotRepresentableError:
+            return NoAutonomousApproximation(i + 1, "phi", image, w_i - 1)
+        a.append({(0, _pad_exponents(q, n)): -c for q, c in poly.terms.items()})
+    b = [{k: c for k, c in comp.items() if k[0] == 0} for comp in nonautonomous.b]
     return PolynomialSystem(n, weights, a, b)
 
 
@@ -417,7 +398,7 @@ def approximate(
     blocks = build_ideal_blocks(core)
     projected = project_core(core, blocks)
     nonautonomous = build_nonautonomous(core, projected)
-    autonomous = build_autonomous(core, projected)
+    autonomous = build_autonomous(core, projected, nonautonomous)
     return ApproximationResult(
         system=sys,
         N=table.N,

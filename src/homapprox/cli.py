@@ -21,7 +21,7 @@ from . import expr as ex
 from . import report as rp
 from . import verify as vf
 from .algebra import enumerate_basis, exact_number
-from .series import ControlSystem, EquilibriumError
+from .series import ControlSystem, EquilibriumError, certify_drift
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -86,6 +86,14 @@ def parse_system_file(text: str) -> ControlSystem:
                 ex.eval_at_origin(parsed[key])
             except (ex.ExprSyntaxError, ex.EvalError) as err:
                 raise InputError(f"line {lineno}, {key}: {err}")
+    # the drifts are certified once all components parse, so a syntax error
+    # is reported first
+    for i in range(1, n + 1):
+        lineno, _ = entries[f"a{i}"]
+        try:
+            certify_drift(f"a{i}", parsed[f"a{i}"], n)
+        except EquilibriumError as err:
+            raise InputError(f"line {lineno}, a{i}: {err}")
     return ControlSystem(
         n,
         tuple(parsed[f"a{i}"] for i in range(1, n + 1)),
@@ -159,14 +167,14 @@ def main(argv=None) -> int:
 
     try:
         system = parse_system_file(text)
-    except (InputError, ex.ExprSyntaxError, EquilibriumError, ValueError) as err:
+    except (InputError, ex.ExprSyntaxError, ValueError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
 
     try:
         result = ap.approximate(system, max_order=args.max_order)
         ap.check_self_consistency(result)
-    except (EquilibriumError, ex.EvalError) as err:
+    except ex.EvalError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT
     except ap.NotAccessibleError as err:

@@ -146,18 +146,14 @@ def render_text(result: ApproximationResult, mode: str = "both", verification=No
 
 
 def _verification_lines(verification) -> list:
-    lines = []
-    oc = verification.get("order_check")
-    if oc is not None:
-        lines.append(
-            f"  residual order check (required slope >= {oc.required_slope}):"
-        )
-        for c in oc.checks:
-            slope = "noise floor" if c.slope is None else f"{c.slope:.3f}"
-            lines.append(f"    {c.control.describe()}: slope {slope}")
-    sh = verification.get("shuffle_residual")
-    if sh is not None:
-        lines.append(f"  max shuffle-identity residual: {sh:.3e}")
+    oc = verification["order_check"]
+    lines = [f"  residual order check (required slope >= {oc.required_slope}):"]
+    for c in oc.checks:
+        slope = "noise floor" if c.slope is None else f"{c.slope:.3f}"
+        lines.append(f"    {c.control.describe()}: slope {slope}")
+    lines.append(
+        f"  max shuffle-identity residual: {verification['shuffle_residual']:.3e}"
+    )
     return lines
 
 
@@ -281,11 +277,10 @@ def result_to_dict(result: ApproximationResult, mode: str = "both", verification
                 "witness": aut.witness.to_json(),
             }
     if verification is not None:
-        oc = verification.get("order_check")
-        ver = {}
-        if oc is not None:
-            ver["required_slope"] = oc.required_slope
-            ver["checks"] = [
+        oc = verification["order_check"]
+        out["verification"] = {
+            "required_slope": oc.required_slope,
+            "checks": [
                 {
                     "control": list(c.control.values),
                     "thetas": list(c.thetas),
@@ -293,10 +288,9 @@ def result_to_dict(result: ApproximationResult, mode: str = "both", verification
                     "slope": c.slope,
                 }
                 for c in oc.checks
-            ]
-        if verification.get("shuffle_residual") is not None:
-            ver["max_shuffle_residual"] = verification["shuffle_residual"]
-        out["verification"] = ver
+            ],
+            "max_shuffle_residual": verification["shuffle_residual"],
+        }
     return out
 
 

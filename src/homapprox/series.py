@@ -49,27 +49,32 @@ def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
 
 
 def validate_equilibrium(sys: ControlSystem) -> None:
-    """Require a(t,0) = 0: symbolically if simplification reaches 0,
-    otherwise by exact evaluation at 20 rational times."""
-    zero_state = dict.fromkeys(range(1, sys.n + 1), ex.ZERO)
+    """Require a(t,0) = 0, one component at a time (`certify_drift`)."""
     for i, ai in enumerate(sys.a):
-        at0 = ex.substitute(ai, zero_state)
-        if at0 == ex.ZERO:
-            continue
-        for k in range(1, 21):
-            t_val = Fraction(k if k <= 10 else 10 - k, 7)
-            try:
-                val = ex.eval_at_origin(ex.substitute(at0, {0: ex.Const(t_val)}))
-            except ex.EvalError as err:
-                raise EquilibriumError(
-                    f"a{i + 1}(t,0) cannot be certified zero at t={t_val}: {err}; "
-                    "rewrite the drift so a(t,0) simplifies to 0"
-                ) from err
-            if val != 0:
-                raise EquilibriumError(
-                    f"a{i + 1}(t,0) = {exact_str(val)} != 0 at t = {t_val}; "
-                    "the origin must be an equilibrium of the drift"
-                )
+        certify_drift(f"a{i + 1}", ai, sys.n)
+
+
+def certify_drift(name: str, ai, n: int) -> None:
+    """Require the drift component `name` = ai to vanish at x = 0:
+    symbolically if simplification reaches 0, otherwise by exact
+    evaluation at 20 rational times."""
+    at0 = ex.substitute(ai, dict.fromkeys(range(1, n + 1), ex.ZERO))
+    if at0 == ex.ZERO:
+        return
+    for k in range(1, 21):
+        t_val = Fraction(k if k <= 10 else 10 - k, 7)
+        try:
+            val = ex.eval_at_origin(ex.substitute(at0, {0: ex.Const(t_val)}))
+        except ex.EvalError as err:
+            raise EquilibriumError(
+                f"{name}(t,0) cannot be certified zero at t={t_val}: {err}; "
+                "rewrite the drift so a(t,0) simplifies to 0"
+            ) from err
+        if val != 0:
+            raise EquilibriumError(
+                f"{name}(t,0) = {exact_str(val)} != 0 at t = {t_val}; "
+                "the origin must be an equilibrium of the drift"
+            )
 
 
 def _int_if_integral(c: Fraction):

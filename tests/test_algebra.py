@@ -13,7 +13,6 @@ from homapprox.algebra import (
     concat,
     enumerate_basis,
     phi,
-    psi,
     shuffle,
     shuffle_power,
     vectorize,
@@ -185,7 +184,7 @@ def test_shuffle_monomial():
 
 
 # ---------------------------------------------------------------------------
-# the derivation phi and the right shift psi
+# the derivation phi
 
 def test_phi_examples():
     assert phi(xi(3)) == 3 * xi(2)
@@ -211,11 +210,3 @@ def test_phi_lowers_order_by_one():
         img = phi(AlgElem.from_word(w))
         if not img.is_zero():
             assert orders(img) == {word_order(w) - 1}
-
-
-def test_psi_examples():
-    assert psi(xi(1, 0)) == xi(1)
-    assert psi(xi(0)) == AlgElem.scalar(1)
-    assert psi(xi(0, 1)).is_zero()
-    assert psi(xi(2)).is_zero()
-    assert psi(xi(0, 1, 0) - 2 * xi(0, 0)) == xi(0, 1) - 2 * xi(0)

@@ -234,10 +234,13 @@ def test_main_syntax_error(tmp_path, capsys):
 
 def test_main_equilibrium_violation(tmp_path, capsys):
     p = tmp_path / "drifty.txt"
-    p.write_text("n = 1\na1 = t\nb1 = 1\n")
+    p.write_text("n = 1\na1 = t^2\nb1 = 1\n")
     code = main(["--input", str(p)])
     assert code == EXIT_INPUT
-    assert "equilibrium" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: line 2, a1: a1(t,0) = 1/49 != 0 at t = 1/7; "
+        "the origin must be an equilibrium of the drift\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -693,6 +696,7 @@ def test_hostile_input_ends_in_a_documented_exit_property(text):
     assert "Traceback" not in err
     if code == EXIT_INPUT:
         assert err.startswith("error: "), err
-        # the line, the component or the option at fault
-        assert re.search(r"\bline\b|\b[ab]\d+\b|--[a-z]", err.splitlines()[0]), err
+        # the line at fault, or what has none: a component, the n line or an option
+        located = r"line \d+|missing component |components out of range |missing 'n|--[a-z]"
+        assert re.match(rf"error: ({located})", err), err
     assert elapsed < HOSTILE_SECONDS

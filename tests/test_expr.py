@@ -335,7 +335,7 @@ def test_render_reparses_exactly_property(rng):
 @given(rng=st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_substitute_zeroes_states_at_once_property(rng):
-    # validate_equilibrium zeroes every state in one call; the tree is the
+    # certify_drift zeroes every state in one call; the tree is the
     # one that zeroing them one at a time gives, so no verdict can change
     text, _ = random_expr(rng, 4)
     e = ex.parse_expr(text, 3)
