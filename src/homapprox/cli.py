@@ -18,8 +18,11 @@ from pathlib import Path
 
 from . import approx as ap
 from . import expr as ex
-from . import report as rp
+# verify before report: without cached bytecode each module is compiled on
+# import, and compiling the larger one while fewer are loaded keeps start-up
+# memory low (as in __init__)
 from . import verify as vf
+from . import report as rp
 from .algebra import enumerate_basis, exact_number
 from .series import ControlSystem, EquilibriumError, certify_drift
 
@@ -186,7 +189,8 @@ def main(argv=None) -> int:
 
     try:
         verification = run_verification(result) if args.verify else None
-    except (vf.VerificationError, OverflowError) as err:
+    except (vf.VerificationError, OverflowError, ZeroDivisionError, ValueError) as err:
+        # the field's float errors in the backward integration included
         print(f"error: --verify: {err}", file=_sys.stderr)
         return EXIT_INPUT
     rendered = getattr(rp, f"render_{args.format}")(result, args.mode, verification)

@@ -13,11 +13,14 @@ and their suffixes; each becomes a Fraction at the end.  The backward
 integrator is one RK4 loop generated from the expression printer and
 compiled once per system.  It runs piece by piece over the control, and
 the piece count divides the step count, so no step straddles a switch
-and RK4 keeps its full order.
+and RK4 keeps its full order.  Each part of the field is computed only
+as often as its value can change, with every float bit for bit that of
+the textbook loop (see compile_backward).
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,30 +102,50 @@ def evaluate_moments(control: PiecewiseConstantControl, words) -> dict:
     return values
 
 
-def _py(e: ex.Expr, names: tuple) -> str:
+def _level(e: ex.Expr) -> int:
+    """0 when e reads no variable, 1 when it reads t alone, 2 when it
+    reads a state."""
+    v = ex.variables(e)
+    return 2 if v - {0} else len(v)
+
+
+def _py(e: ex.Expr, names: tuple, bind=None) -> str:
     """Python source for the float value of e, where names[i] is the
-    source of variable i (t is variable 0)."""
+    source of variable i (t is variable 0).  Given bind, each largest part
+    of e that reads no state and is more than a name or a constant is
+    computed apart: its source is bind(source, _level(part)), a name."""
+    if bind and _level(e) < 2 and not isinstance(e, (ex.Const, ex.Var)):
+        return bind(_py(e, names), _level(e))
     if isinstance(e, ex.Const):
         return f"({float(e.value)!r})"
     if isinstance(e, ex.Var):
         return names[e.index]
-    if isinstance(e, ex.Sum):
-        return "(" + "+".join(_py(t, names) for t in e.terms) + ")"
-    if isinstance(e, ex.Prod):
-        return "(" + "*".join(_py(f, names) for f in e.factors) + ")"
+    if isinstance(e, (ex.Sum, ex.Prod)):
+        op, parts = ("+", e.terms) if isinstance(e, ex.Sum) else ("*", e.factors)
+        if bind:  # a leading run that reads no state is one part: a+b+c is (a+b)+c
+            k = [_level(p) for p in parts].index(2)
+            if k > 1:
+                parts = (type(e)(parts[:k]), *parts[k:])
+        return "(" + op.join(_py(p, names, bind) for p in parts) + ")"
     if isinstance(e, ex.Quot):
-        return f"({_py(e.num, names)}/{_py(e.den, names)})"
+        return f"({_py(e.num, names, bind)}/{_py(e.den, names, bind)})"
     if isinstance(e, ex.Pow):
         # hex: compile refuses decimal literals past the int-to-string limit
-        return f"({_py(e.base, names)}**{hex(e.exponent)})"
+        return f"({_py(e.base, names, bind)}**{hex(e.exponent)})"
     if isinstance(e, ex.Func):
-        return f"math.{e.name}({_py(e.arg, names)})"
+        return f"{e.name}({_py(e.arg, names, bind)})"
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _field(sys: ControlSystem, names: tuple) -> list:
-    """Source of each component of a + b u at the variables names."""
-    return [f"{_py(a, names)} + ({_py(b, names)})*u" for a, b in zip(sys.a, sys.b)]
+def _field(a: ex.Expr, b: ex.Expr, names: tuple, bind) -> str:
+    """A name for the value of a + (b)*u at the variables names; where a
+    or b reads no variable, the part is bound at level 0."""
+    if _level(a) == _level(b) == 0:
+        return bind(f"{_py(a, names)} + ({_py(b, names)})*u", 0)
+    a = _py(a, names, bind)
+    if _level(b) == 0:
+        return bind(f"{a} + {bind(f'({_py(b, names)})*u', 0)}", 2)
+    return bind(f"{a} + ({_py(b, names, bind)})*u", 2)
 
 
 _BACKWARD = """\
@@ -131,14 +154,12 @@ def _backward(values, theta, steps):
     h = -theta / steps
     hh = 0.5 * h
     h6 = h / 6.0
-    t = theta
     per_piece = steps // len(values)
+{init}
     for u in reversed(values):
+{piece}
         for _ in range(per_piece):
-            th = t + hh
-            tf = t + h
-{body}
-            t += h
+{step}
             if {blown}:
                 raise VerificationError("numerical blow-up in backward integration")
     return [{states_list}]
@@ -150,37 +171,83 @@ def compile_backward(sys: ControlSystem):
     called as integrate(control.values, theta, steps) -> x(0), where the
     number of pieces divides steps.
 
-    Each state is a local variable and the field is written out at each
-    of the four stages.  The float operations, and their order, are those
-    of the textbook loop that evaluates the field on lists of states and
-    samples the control at each step's midpoint t + h/2.  The loop runs
-    over the pieces instead, steps/k steps each: every midpoint lies half
-    a step, theta/(2 steps), inside its piece, while the rounding drift
-    of t += h over all steps is about steps 2^-53 theta, far smaller, so
-    u is the value the sampled control would have had at every step.
+    Its float operations, and their operands, are those of the textbook
+    loop that evaluates the field on lists of states at each of the four
+    stages and samples the control at each step's midpoint t + h/2.  The
+    loop runs over the pieces instead, steps/k steps each: every midpoint
+    lies half a step, theta/(2 steps), inside its piece, while the
+    rounding drift of t += h over all steps is about steps 2^-53 theta,
+    far smaller, so u is the value the sampled control would have had at
+    every step.
+
+    Each part of the field is computed only as often as its value can
+    change, and each rule keeps every float bit for bit:
+    - a part free of t and x, such as (b_i)*u for a constant b_i, or a
+      whole constant component with its four equal stages and their
+      multiples by h/2, h and h/6, once per piece, and a source that
+      recurs within a step (a stage equal to the one before) once: the
+      same operations on the same operands give the same floats;
+    - a part reading t alone once at t + h/2 for stages 2 and 3 and once
+      at t + h, which is the next step's value at t, since t + h is the
+      same operation as t += h;
+    - a stage state no field reads, and t when no field reads it, never:
+      they are never read.
+    A step that raises does so in the same stage as the textbook loop,
+    with the same error unless two parts of that stage fail differently.
     """
+    read = set().union(*map(ex.variables, (*sys.a, *sys.b)))
+    init, piece, step = [], [], []
+    if 0 in read:
+        init.append("t = theta")
+        step += ["th = t + hh", "tf = t + h"]
+    names, counts, constant = {}, Counter(), set()
+
+    def bind(src: str, level: int) -> str:
+        # a name for src's value, computed once per piece at level 0, in
+        # the step at level 2, and at level 1 at the current stage's time:
+        # at t once before the loop, and after that carried over from t + h
+        if src not in names:
+            prefix = ("p", f"{time}_", "v")[level]
+            name = names[src] = f"{prefix}{counts[prefix]}"
+            counts[prefix] += 1
+            (piece if level == 0 else init if prefix == "t_" else step).append(
+                f"{name} = {src}"
+            )
+            if level == 0:
+                constant.add(name)
+        return names[src]
+
+    def once(src: str, k: str) -> str:
+        """src, a multiple of k, as a level-0 name when k is one."""
+        return bind(src, 0) if k in constant else src
+
     idx = range(1, sys.n + 1)
     xs = tuple(f"x{i}" for i in idx)
-    ys = tuple(f"y{i}" for i in idx)
-    body = []
-    # stage k evaluates the field at (time, state), then moves y to x + step * k
-    for k, time, state, step in (
-        (1, "t", xs, "hh"), (2, "th", ys, "hh"), (3, "th", ys, "h"), (4, "tf", ys, None)
-    ):
-        body += [f"k{k}_{i} = {c}" for i, c in zip(idx, _field(sys, (time, *state)))]
-        if step:
-            body += [f"y{i} = x{i} + {step} * k{k}_{i}" for i in idx]
-    body += [
-        f"x{i} = x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-        for i in idx
-    ]
+    state, ks = xs, []
+    # each stage evaluates the field at (time, state), then moves the
+    # state to x + move * k for the next stage
+    for time, move in (("t", "hh"), ("th", "hh"), ("th", "h"), ("tf", None)):
+        ks.append([_field(a, b, (time, *state), bind) for a, b in zip(sys.a, sys.b)])
+        if move:
+            state = [
+                bind(f"x{i} + {once(f'{move} * {k}', k)}", 2) if i in read else None
+                for i, k in zip(idx, ks[-1])
+            ]
+    for x, k in zip(xs, zip(*ks)):
+        rk4 = "h6 * ({} + 2.0 * {} + 2.0 * {} + {})".format(*k)
+        step.append(f"{x} = {x} + {once(rk4, k[0])}")
+    if 0 in read:
+        step += ["t = tf", *(f"t_{j} = tf_{j}" for j in range(counts["t_"]))]
     src = _BACKWARD.format(
         states=" = ".join(xs),
-        body="\n".join(" " * 12 + line for line in body),
+        init="\n".join(" " * 4 + line for line in init),
+        piece="\n".join(" " * 8 + line for line in piece),
+        step="\n".join(" " * 12 + line for line in step),
         blown=" or ".join(f"not abs({x}) <= 1e12" for x in xs),  # NaN included
         states_list=", ".join(xs),
     )
-    namespace = {"math": math, "VerificationError": VerificationError}
+    namespace = {name: getattr(math, name) for name in ex.FUNCTIONS}
+    namespace["VerificationError"] = VerificationError
     exec(src, namespace)
     return namespace["_backward"]
 
@@ -210,9 +277,10 @@ def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
     """The series at horizon theta from the unit-horizon moments: the
     substitution s = theta * sigma gives xi_w(theta) = theta^order(w) xi_w(1)."""
     th = Fraction(theta)
+    powers = {m: th**m for m in set(map(word_order, table.coeffs))}
     out = [Fraction(0)] * table.n
     for w, vec in table.coeffs.items():
-        xi = moments[w] * th ** word_order(w)
+        xi = moments[w] * powers[word_order(w)]
         for i, c in enumerate(vec):
             out[i] += c * xi
     return [float(x) for x in out]

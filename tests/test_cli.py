@@ -355,6 +355,28 @@ def test_main_maps_a_verification_blow_up(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_main_maps_a_division_by_zero_in_the_backward_integration(tmp_path):
+    # x1 reaches 1 within the first step under u = -1 and 1 - x1 divides x2
+    p = tmp_path / "pole.txt"
+    p.write_text("n = 2\na1 = 0\na2 = x2/(1-x1)\nb1 = 10000\nb2 = 1\n")
+    proc = run_cli("--input", p, "--verify")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == "error: --verify: float division by zero\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_maps_a_math_domain_error_in_the_backward_integration(
+    ex1_file, capsys, monkeypatch
+):
+    # as sin raises on a part whose product passes float range
+    def integrate(values, theta, steps):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(vf, "compile_backward", lambda sys: integrate)
+    assert main(["--input", str(ex1_file), "--verify"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --verify: math domain error\n"
+
+
 def test_main_not_accessible(tmp_path, capsys):
     p = tmp_path / "dead.txt"
     p.write_text("n = 1\na1 = 0\nb1 = 0\n")

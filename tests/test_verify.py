@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from homapprox import verify as vf
 from homapprox.algebra import enumerate_basis
 from homapprox.approx import approximate
-from homapprox.cli import run_verification
+from homapprox.cli import parse_system_file, run_verification
 from homapprox.series import SeriesComputer, system_from_strings
 from homapprox.verify import (
     CONTROL_PIECES,
@@ -33,6 +35,7 @@ from reparse import reparsed
 from slopes import order_check_passed
 
 U_ONE = PiecewiseConstantControl((1.0,))
+SYSTEMS = Path(__file__).resolve().parent.parent / "perfbench" / "systems"
 
 
 def checked_moments(controls, table):
@@ -236,12 +239,33 @@ def test_integer_moments_match_the_fraction_reference_property(values, N, data):
     assert all(type(v) is F for v in got.values())
 
 
+def hexed(values):
+    return [float.hex(v) for v in values]
+
+
 def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
+    # float.hex tells -0.0 from 0.0, which == does not
     systems = {
+        # a constant component, no t
         "scalar": sys_scalar,
+        # x3 read by no field; parts reading t alone (t^2, sin(t))
         "sys3": sys3,
+        # a constant component, a constant b beside a non-constant a, x2 read by
+        # no field, no t
         "deep7": system_from_strings(2, ["0", "x1^6"], ["1", "0"]),
         "quot": system_from_strings(2, ["0", "x1/(1-x2)"], ["exp(t)", "cos(x1)"]),
+        # nested parts reading t alone, and a leading run of them in a product
+        "nested": system_from_strings(
+            2,
+            ["0", "1 + t + x1*sin(t^2) + cos(sin(t))*x2 + t*x1"],
+            ["1 + t", "2*cos(t)*cos(sin(t))*exp(x1)"],
+        ),
+        # constant b beside an a reading t and a state
+        "scaled": system_from_strings(2, ["x2", "t*x2 - x1"], ["1/2", "-3"]),
+        **{
+            name: parse_system_file((SYSTEMS / f"{name}.txt").read_text())
+            for name in ("mixed4", "rat3")
+        },
     }
     rng = random.Random(21)
     for name, sys in systems.items():
@@ -253,7 +277,97 @@ def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
             for theta in THETAS:
                 want = reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
                 got = backward_endpoint(sys, control, theta, integrate=integrate)
-                assert got == want, (name, pieces, theta)
+                assert hexed(got) == hexed(want), (name, pieces, theta)
+
+
+# t, the states and constants; a time-only part of depth 3 at most stays far
+# below float range on [0, 0.2], so only parts reading a state can fail, and
+# they fail in the reference's order
+_LEAVES = st.sampled_from(["t", "x1", "x2", "0", "1", "-1", "1/3", "3/2"])
+
+
+def _fields(depth):
+    if depth == 0:
+        return _LEAVES
+    inner = _fields(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.builds("({})+({})".format, inner, inner),
+        st.builds("({})*({})".format, inner, inner),
+        st.builds("({})/(1+({})^2)".format, inner, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("{}({})".format, st.sampled_from(["sin", "cos", "exp"]), inner),
+    )
+
+
+def _outcome(run):
+    try:
+        return hexed(run())
+    except (ArithmeticError, ValueError, VerificationError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    fields=st.lists(_fields(3), min_size=4, max_size=4),
+    values=st.lists(st.sampled_from((0.0, *CONTROL_VALUES)), min_size=1, max_size=10),
+    theta=st.sampled_from(THETAS),
+)
+def test_backward_endpoint_matches_the_reference_property(fields, values, theta):
+    sys = system_from_strings(2, fields[:2], fields[2:])
+    control = PiecewiseConstantControl(tuple(values))
+    steps = 20 * len(values)
+    want = _outcome(lambda: reference_backward_endpoint(sys, control, theta, steps))
+    got = _outcome(lambda: backward_endpoint(sys, control, theta, steps))
+    assert got == want, fields
+
+
+def _calls(monkeypatch, name, sys, values, steps):
+    """How often one integration calls math.<name>, patched before compiling."""
+    calls = []
+    f = getattr(math, name)
+    monkeypatch.setattr(math, name, lambda x: calls.append(x) or f(x))
+    compile_backward(sys)(values, 0.2, steps)
+    monkeypatch.setattr(math, name, f)
+    return len(calls)
+
+
+def test_each_part_of_the_field_is_evaluated_as_often_as_it_can_change(monkeypatch):
+    steps, values = 40, (1.0, -0.5, 0.5, -1.0)
+    timed = system_from_strings(2, ["0", "0"], ["sin(t)", "cos(x1)"])
+    # once at theta, then at t + h/2 and t + h in each step
+    assert _calls(monkeypatch, "sin", timed, values, steps) == 2 * steps + 1
+    # a part reading a state, at each of the four stages
+    assert _calls(monkeypatch, "cos", timed, values, steps) == 4 * steps
+    # a constant x1' makes stages 2 and 3 read the same state
+    steady = system_from_strings(2, ["0", "0"], ["1", "cos(x1)"])
+    assert _calls(monkeypatch, "cos", steady, values, steps) == 3 * steps
+    # a part free of t and x, once per piece
+    constant = system_from_strings(1, ["0"], ["exp(1)"])
+    assert _calls(monkeypatch, "exp", constant, values, steps) == len(values)
+
+
+@pytest.mark.parametrize(
+    "a, b, u, theta, error",
+    [
+        # a part reading t alone divides by zero at t = theta
+        (["0"], ["1/(1-5*t)"], -1.0, 0.2, ZeroDivisionError),
+        # a part reading a state divides by zero in the first step's last stage
+        (["0", "x2/(1-x1)"], ["10000", "1"], -1.0, 0.2, ZeroDivisionError),
+        # the blow-up of test_backward_endpoint_blow_up_matches_the_reference
+        (["x1^2"], ["1000000"], 1.0, THETAS[0], VerificationError),
+        # a product past float range reaches sin
+        (["0", "sin(x2*(10^308+x1)*(10^308+x1+x2))"], ["1", "1"], 1.0, 0.2, ValueError),
+    ],
+)
+def test_a_failing_step_raises_what_the_reference_raises(a, b, u, theta, error):
+    sys = system_from_strings(len(a), a, b)
+    control = PiecewiseConstantControl((u,))
+    with pytest.raises(error) as want:
+        reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
+    with pytest.raises(error) as got:
+        backward_endpoint(sys, control, theta)
+    assert str(got.value) == str(want.value)
 
 
 def test_backward_endpoint_needs_the_pieces_to_divide_the_steps(sys_scalar):
