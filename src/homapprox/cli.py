@@ -189,8 +189,7 @@ def main(argv=None) -> int:
 
     try:
         verification = run_verification(result) if args.verify else None
-    except (vf.VerificationError, OverflowError, ZeroDivisionError, ValueError) as err:
-        # the field's float errors in the backward integration included
+    except (vf.VerificationError, OverflowError) as err:
         print(f"error: --verify: {err}", file=_sys.stderr)
         return EXIT_INPUT
     rendered = getattr(rp, f"render_{args.format}")(result, args.mode, verification)

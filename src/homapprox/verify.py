@@ -113,19 +113,16 @@ def _py(e: ex.Expr, names: tuple, bind=None) -> str:
     """Python source for the float value of e, where names[i] is the
     source of variable i (t is variable 0).  Given bind, each largest part
     of e that reads no state and is more than a name or a constant is
-    computed apart: its source is bind(source, _level(part)), a name."""
+    computed apart: its source is bind(source, _level(part), names[0]), a
+    name."""
     if bind and _level(e) < 2 and not isinstance(e, (ex.Const, ex.Var)):
-        return bind(_py(e, names), _level(e))
+        return bind(_py(e, names), _level(e), names[0])
     if isinstance(e, ex.Const):
         return f"({float(e.value)!r})"
     if isinstance(e, ex.Var):
         return names[e.index]
     if isinstance(e, (ex.Sum, ex.Prod)):
         op, parts = ("+", e.terms) if isinstance(e, ex.Sum) else ("*", e.factors)
-        if bind:  # a leading run that reads no state is one part: a+b+c is (a+b)+c
-            k = [_level(p) for p in parts].index(2)
-            if k > 1:
-                parts = (type(e)(parts[:k]), *parts[k:])
         return "(" + op.join(_py(p, names, bind) for p in parts) + ")"
     if isinstance(e, ex.Quot):
         return f"({_py(e.num, names, bind)}/{_py(e.den, names, bind)})"
@@ -202,10 +199,10 @@ def compile_backward(sys: ControlSystem):
         step += ["th = t + hh", "tf = t + h"]
     names, counts, constant = {}, Counter(), set()
 
-    def bind(src: str, level: int) -> str:
+    def bind(src: str, level: int, time: str = "") -> str:
         # a name for src's value, computed once per piece at level 0, in
-        # the step at level 2, and at level 1 at the current stage's time:
-        # at t once before the loop, and after that carried over from t + h
+        # the step at level 2, and at level 1 at the given stage time: at t
+        # once before the loop, and after that carried over from t + h
         if src not in names:
             prefix = ("p", f"{time}_", "v")[level]
             name = names[src] = f"{prefix}{counts[prefix]}"
@@ -263,14 +260,18 @@ def backward_endpoint(
     returns x(0), the point the series represents.  The control's piece
     count must divide steps, so that no step straddles a switch.
     integrate, from compile_backward(sys), is compiled here when not
-    given."""
+    given.  A division by zero or a math domain error in the field is a
+    VerificationError."""
     if steps % len(control.values):
         raise ValueError(
             f"{len(control.values)} control pieces do not divide {steps} steps"
         )
     if integrate is None:
         integrate = compile_backward(sys)
-    return integrate(control.values, theta, steps)
+    try:
+        return integrate(control.values, theta, steps)
+    except (ZeroDivisionError, ValueError) as err:
+        raise VerificationError(f"{err} in backward integration") from err
 
 
 def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:

@@ -254,7 +254,7 @@ def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
         # no field, no t
         "deep7": system_from_strings(2, ["0", "x1^6"], ["1", "0"]),
         "quot": system_from_strings(2, ["0", "x1/(1-x2)"], ["exp(t)", "cos(x1)"]),
-        # nested parts reading t alone, and a leading run of them in a product
+        # nested parts reading t alone
         "nested": system_from_strings(
             2,
             ["0", "1 + t + x1*sin(t^2) + cos(sin(t))*x2 + t*x1"],
@@ -318,7 +318,7 @@ def test_backward_endpoint_matches_the_reference_property(fields, values, theta)
     control = PiecewiseConstantControl(tuple(values))
     steps = 20 * len(values)
     want = _outcome(lambda: reference_backward_endpoint(sys, control, theta, steps))
-    got = _outcome(lambda: backward_endpoint(sys, control, theta, steps))
+    got = _outcome(lambda: compile_backward(sys)(control.values, theta, steps))
     assert got == want, fields
 
 
@@ -366,8 +366,16 @@ def test_a_failing_step_raises_what_the_reference_raises(a, b, u, theta, error):
     with pytest.raises(error) as want:
         reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
     with pytest.raises(error) as got:
-        backward_endpoint(sys, control, theta)
+        compile_backward(sys)(control.values, theta, DEFAULT_STEPS)
     assert str(got.value) == str(want.value)
+    # backward_endpoint reports the field's float errors as a VerificationError
+    with pytest.raises(VerificationError) as reported:
+        backward_endpoint(sys, control, theta)
+    if error is VerificationError:
+        assert str(reported.value) == str(want.value)
+    else:
+        assert type(reported.value.__cause__) is error
+        assert str(reported.value) == f"{want.value} in backward integration"
 
 
 def test_backward_endpoint_needs_the_pieces_to_divide_the_steps(sys_scalar):
