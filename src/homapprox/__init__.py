@@ -19,7 +19,6 @@ from .algebra import (
     phi,
     shuffle,
     shuffle_power,
-    vectorize,
     word_order,
 )
 from .approx import (
@@ -29,7 +28,6 @@ from .approx import (
     NotAccessibleError,
     NotRepresentableError,
     PolynomialSystem,
-    ShufflePolynomial,
     approximate,
     build_ideal_blocks,
     build_autonomous,

@@ -50,11 +50,6 @@ def _compositions(total: int, k: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def basis_index(m: int) -> dict:
-    return {w: i for i, w in enumerate(enumerate_basis(m))}
-
-
 def signed_sum(terms: list) -> str:
     """Rendered terms joined by " + ", a leading "-" folded into " - "."""
     if not terms:
@@ -185,17 +180,6 @@ class AlgElem:
         return [
             {"word": list(w), "coeff": exact_str(c)} for w, c in self.sorted_items()
         ]
-
-
-def vectorize(e: AlgElem, m: int) -> list:
-    """Coefficient vector of a homogeneous element over enumerate_basis(m)."""
-    idx = basis_index(m)
-    vec = [Fraction(0)] * len(idx)
-    for w, c in e.terms.items():
-        if w not in idx:
-            raise ValueError(f"word {w} is not of order {m}")
-        vec[idx[w]] = c
-    return vec
 
 
 def collect(pairs) -> AlgElem:

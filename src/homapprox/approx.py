@@ -31,12 +31,12 @@ from .algebra import (
     AlgElem,
     Word,
     collect,
-    enumerate_basis,
     exact_str,
     phi,
     shuffle,
     shuffle_power,
-    vectorize,
+    word_order,
+    word_sort_key,
 )
 from .lie import build_lie_basis
 from .linalg import IntEchelon, scale_to_int, solve_particular, solve_square
@@ -114,16 +114,6 @@ class IdealBlock:
 
 
 @dataclass
-class ShufflePolynomial:
-    """Rational polynomial in shuffle powers of the projected core
-    elements; keys are exponent multi-indices over those generators."""
-
-    weights: tuple
-    degree: int
-    terms: dict
-
-
-@dataclass
 class NoAutonomousApproximation:
     """Witness that the autonomous construction fails: the phi image of
     l~_i is not a shuffle polynomial in l~_1..l~_{i-1}."""
@@ -164,10 +154,6 @@ class ApproximationResult:
         return isinstance(self.autonomous, PolynomialSystem)
 
 
-def _leading_coeff(e: AlgElem) -> Fraction:
-    return e.sorted_items()[0][1]
-
-
 def select_core(computer: SeriesComputer, n: int, max_order: int) -> tuple:
     """Split the Lie basis into core elements l (independent v-images)
     and corrected ideal generators d in one pass over the orders, growing
@@ -203,7 +189,7 @@ def select_core(computer: SeriesComputer, n: int, max_order: int) -> tuple:
                 if c != 0:
                     d_elem = d_elem + (-c) * l.elem
                     combo.append((-c, l.index))
-            if _leading_coeff(d_elem) < 0:
+            if d_elem.sorted_items()[0][1] < 0:  # leading coefficient
                 d_elem = -d_elem
                 combo = [(-c, i) for c, i in combo]
             dees.append(IdealGenerator(d_elem, m, tuple(combo)))
@@ -296,36 +282,25 @@ def weighted_multi_indices(weights, degree: int) -> list:
 
 def express_as_shuffle_poly(
     target: AlgElem, generators: list, weights, degree: int
-) -> ShufflePolynomial:
+) -> dict:
     """Write a homogeneous element of the given order as a shuffle
-    polynomial in the generators (weighted degree = order), or raise
-    NotRepresentableError.  Dependent monomials get zero coefficients."""
-    weights = tuple(weights)
-    if degree == 0:
-        # only constants live in degree 0
-        extra = {w for w in target.terms if w != ()}
-        if extra:
-            raise NotRepresentableError(target, 0)
-        c = target.coeff(())
-        terms = {(0,) * len(weights): c} if c != 0 else {}
-        return ShufflePolynomial(weights, 0, terms)
+    polynomial {q: c} in the generators (q of weighted degree = order), or
+    raise NotRepresentableError.  Dependent monomials get zero coefficients.
+    Only the words of the target and the monomials give rows: zero rows and
+    the row order change no echelon form, so no solution either."""
     qs = weighted_multi_indices(weights, degree)
-    if not qs:
-        if target.is_zero():
-            return ShufflePolynomial(weights, degree, {})
-        raise NotRepresentableError(target, degree)
-    columns = [
-        vectorize(
-            reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1)),
-            degree,
-        )
+    monomials = [
+        reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1)).terms
         for q in qs
     ]
-    sol = solve_particular(columns, vectorize(target, degree))
+    words = set(target.terms).union(*monomials)
+    sol = solve_particular(
+        [[m.get(w, 0) for w in words] for m in monomials],
+        [target.terms.get(w, 0) for w in words],
+    )
     if sol is None:
         raise NotRepresentableError(target, degree)
-    terms = {q: c for q, c in zip(qs, sol) if c != 0}
-    return ShufflePolynomial(weights, degree, terms)
+    return {q: c for q, c in zip(qs, sol) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +331,7 @@ def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialS
             poly = express_as_shuffle_poly(
                 AlgElem(tails[j]), projected[:i], weights[:i], w_i - j - 1
             )
-            for q, c in poly.terms.items():
+            for q, c in poly.items():
                 comp[(j, _pad_exponents(q, n))] = -c
         b.append(comp)
     return PolynomialSystem(n, weights, [dict() for _ in range(n)], b)
@@ -379,7 +354,7 @@ def build_autonomous(
             poly = express_as_shuffle_poly(image, projected[:i], weights[:i], w_i - 1)
         except NotRepresentableError:
             return NoAutonomousApproximation(i + 1, "phi", image, w_i - 1)
-        a.append({(0, _pad_exponents(q, n)): -c for q, c in poly.terms.items()})
+        a.append({(0, _pad_exponents(q, n)): -c for q, c in poly.items()})
     b = [{k: c for k, c in comp.items() if k[0] == 0} for comp in nonautonomous.b]
     return PolynomialSystem(n, weights, a, b)
 
@@ -413,16 +388,17 @@ def approximate(
 
 def check_self_consistency(result: ApproximationResult) -> None:
     """The output system's own series must reproduce each l~_k exactly at
-    order w_k in component k and vanish at all lower orders."""
+    order w_k in component k and vanish at all lower orders: its nonzero
+    coefficients of order <= w_k in component k are the terms of l~_k."""
     table = SeriesComputer(result.nonautonomous).table_up_to(max(result.weights))
-    for k, (l, ltilde) in enumerate(zip(result.core.ell, result.projected)):
-        w_k = l.order
-        for m in range(1, w_k + 1):
-            for word in enumerate_basis(m):
-                got = table.v(word)[k]
-                want = ltilde.coeff(word) if m == w_k else Fraction(0)
-                if got != want:
-                    raise InternalConsistencyError(
-                        f"component {k + 1}, word {word}: series gives "
-                        f"{exact_str(got)}, projection demands {exact_str(want)}"
-                    )
+    for k, (w_k, ltilde) in enumerate(zip(result.weights, result.projected)):
+        want = ltilde.terms
+        got = {w: v[k] for w, v in table.coeffs.items() if word_order(w) <= w_k}
+        wrong = [w for w in got.keys() | want if got.get(w, 0) != want.get(w, 0)]
+        if wrong:
+            word = min(wrong, key=word_sort_key)
+            raise InternalConsistencyError(
+                f"component {k + 1}, word {word}: series gives "
+                f"{exact_str(got.get(word, 0))}, projection demands "
+                f"{exact_str(want.get(word, 0))}"
+            )

@@ -189,7 +189,7 @@ def main(argv=None) -> int:
 
     try:
         verification = run_verification(result) if args.verify else None
-    except (vf.VerificationError, OverflowError) as err:
+    except vf.VerificationError as err:
         print(f"error: --verify: {err}", file=_sys.stderr)
         return EXIT_INPUT
     rendered = getattr(rp, f"render_{args.format}")(result, args.mode, verification)

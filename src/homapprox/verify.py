@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,15 @@ CONTROL_PIECES = (4, 8, 10, 16, 20, 25)
 
 class VerificationError(Exception):
     pass
+
+
+@contextmanager
+def _stage(name: str, errors=ArithmeticError):
+    """A float error of the block as a VerificationError naming the stage."""
+    try:
+        yield
+    except errors as err:
+        raise VerificationError(f"{err} in {name}") from err
 
 
 @dataclass(frozen=True)
@@ -260,23 +270,22 @@ def backward_endpoint(
     returns x(0), the point the series represents.  The control's piece
     count must divide steps, so that no step straddles a switch.
     integrate, from compile_backward(sys), is compiled here when not
-    given.  A division by zero or a math domain error in the field is a
-    VerificationError."""
+    given.  A division by zero, an overflow or a math domain error in the
+    field is a VerificationError."""
     if steps % len(control.values):
         raise ValueError(
             f"{len(control.values)} control pieces do not divide {steps} steps"
         )
     if integrate is None:
         integrate = compile_backward(sys)
-    try:
+    with _stage("backward integration", (ArithmeticError, ValueError)):
         return integrate(control.values, theta, steps)
-    except (ZeroDivisionError, ValueError) as err:
-        raise VerificationError(f"{err} in backward integration") from err
 
 
 def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
     """The series at horizon theta from the unit-horizon moments: the
-    substitution s = theta * sigma gives xi_w(theta) = theta^order(w) xi_w(1)."""
+    substitution s = theta * sigma gives xi_w(theta) = theta^order(w) xi_w(1).
+    A value past float range is a VerificationError."""
     th = Fraction(theta)
     powers = {m: th**m for m in set(map(word_order, table.coeffs))}
     out = [Fraction(0)] * table.n
@@ -284,7 +293,8 @@ def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
         xi = moments[w] * powers[word_order(w)]
         for i, c in enumerate(vec):
             out[i] += c * xi
-    return [float(x) for x in out]
+    with _stage(f"series prediction at theta = {theta!r}"):
+        return [float(x) for x in out]
 
 
 def residual(
@@ -297,7 +307,8 @@ def residual(
 ) -> float:
     predicted = series_prediction(table, moments, theta)
     actual = backward_endpoint(sys, control, theta, integrate=integrate)
-    return math.sqrt(sum((p - a) ** 2 for p, a in zip(predicted, actual)))
+    with _stage(f"residual at theta = {theta!r}"):
+        return math.sqrt(sum((p - a) ** 2 for p, a in zip(predicted, actual)))
 
 
 def fit_slope(thetas, residuals, floor: float = NOISE_FLOOR):
@@ -339,7 +350,8 @@ def order_check(
     """Residual between series prediction and backward integration must
     vanish at rate theta^(N+1): fitted slope >= N + 0.7 per control.
     moments holds each control's moments of the table's words."""
-    integrate = compile_backward(sys)
+    with _stage("backward integration"):  # a constant past float range
+        integrate = compile_backward(sys)
     checks = []
     for control, xi in zip(controls, moments):
         res = tuple(residual(sys, table, control, xi, th, integrate) for th in thetas)

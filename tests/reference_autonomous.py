@@ -33,5 +33,5 @@ def reference_autonomous(core, projected):
             except NotRepresentableError:
                 return NoAutonomousApproximation(i + 1, kind, image, w_i - 1)
             pad = (0,) * (n - i)
-            bucket.append({(0, q + pad): -c for q, c in poly.terms.items()})
+            bucket.append({(0, q + pad): -c for q, c in poly.items()})
     return PolynomialSystem(n, weights, a, b)

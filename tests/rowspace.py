@@ -1,5 +1,5 @@
 """Canonical form of a rational row space, for span comparisons in tests."""
-from homapprox.algebra import vectorize
+from dense import vectorize
 from homapprox.linalg import IntEchelon, scale_to_int
 
 

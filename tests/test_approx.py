@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from homapprox import expr as ex
 from homapprox import report, series
-from homapprox.algebra import AlgElem, enumerate_basis, phi, vectorize
+from homapprox.algebra import AlgElem, enumerate_basis, phi
 from homapprox.approx import (
     NoAutonomousApproximation,
     NotAccessibleError,
@@ -22,6 +23,7 @@ from homapprox.approx import (
 from homapprox.approx import InternalConsistencyError
 from homapprox.lie import build_lie_basis
 from homapprox.series import SeriesComputer, SeriesTable, system_from_strings
+from dense import dense_shuffle_poly, vectorize
 from reparse import reparsed
 from rowspace import row_space_canonical, spans_ideal_block
 
@@ -211,11 +213,11 @@ def test_weighted_multi_indices():
 def test_express_shuffle_published_identities():
     # xi_00 = 1/2 xi_0 ^shuffle 2
     poly = express_as_shuffle_poly(xi(0, 0), [xi(0)], (1,), 2)
-    assert poly.terms == {(2,): F(1, 2)}
+    assert poly == {(2,): F(1, 2)}
     # xi_2 - 2 xi_01 = 5 l~_2
     l2 = F(1, 5) * xi(2) - F(2, 5) * xi(0, 1)
     poly = express_as_shuffle_poly(xi(2) - 2 * xi(0, 1), [xi(0), l2], (1, 3), 3)
-    assert poly.terms == {(0, 1): F(5)}
+    assert poly == {(0, 1): F(5)}
 
 
 def test_express_shuffle_not_representable():
@@ -228,13 +230,16 @@ def test_express_shuffle_not_representable():
 
 
 def test_express_shuffle_degree_zero_and_empty():
-    poly = express_as_shuffle_poly(AlgElem.scalar(2), [], (), 0)
-    assert poly.terms == {(): F(2)}
-    assert express_as_shuffle_poly(AlgElem(), [], (), 3).terms == {}
-    with pytest.raises(NotRepresentableError):
-        express_as_shuffle_poly(xi(0), [], (), 0)
-    with pytest.raises(NotRepresentableError):
-        express_as_shuffle_poly(xi(0, 0), [], (), 3)
+    # the one general path gives the answers the dense reference special-cases:
+    # at degree 0 the only word is (), and without monomials there is no column
+    for solve in (express_as_shuffle_poly, dense_shuffle_poly):
+        assert solve(AlgElem.scalar(2), [], (), 0) == {(): F(2)}
+        assert solve(AlgElem.scalar(2), [xi(0)], (1,), 0) == {(0,): F(2)}
+        assert solve(AlgElem(), [], (), 3) == {}
+        with pytest.raises(NotRepresentableError):
+            solve(xi(0), [], (), 0)
+        with pytest.raises(NotRepresentableError):
+            solve(xi(0, 0), [], (), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,21 @@ def test_self_consistency_detects_corruption(res3):
     broken = dataclasses.replace(
         res3, projected=[res3.projected[0], 2 * res3.projected[1], res3.projected[2]]
     )
-    with pytest.raises(InternalConsistencyError):
+    message = "component 2, word (2,): series gives 1/5, projection demands 2/5"
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        check_self_consistency(broken)
+
+
+def test_self_consistency_detects_a_stray_lower_order_coefficient(res3):
+    # 7*x1 added to b_3 gives component 3 a coefficient at xi_{0 0}, a word
+    # of order 2 < w_3 = 4 that l~_3 does not contain
+    b = [dict(comp) for comp in res3.nonautonomous.b]
+    b[2][(0, (1, 0, 0))] = F(7)
+    broken = dataclasses.replace(
+        res3, nonautonomous=dataclasses.replace(res3.nonautonomous, b=b)
+    )
+    message = "component 3, word (0, 0): series gives -7, projection demands 0"
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
         check_self_consistency(broken)
 
 

@@ -2,21 +2,25 @@
 systems: the output's own series reproduces the projections, the
 non-autonomous approximation is a fixed point of `approximate`, the
 dense graded blocks of the ideal have the codimension the theory gives,
-the autonomous system equals the one of the old psi route, and scaling
-the control changes only what the theory says it scales."""
+the autonomous system equals the one of the old psi route, the shuffle
+polynomial solves agree with a dense reference, and scaling the control
+changes only what the theory says it scales."""
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from homapprox.algebra import AlgElem, concat, enumerate_basis, vectorize
+from homapprox.algebra import AlgElem, concat, enumerate_basis, phi
 from homapprox.approx import (
     NotAccessibleError,
+    NotRepresentableError,
     approximate,
     check_self_consistency,
+    express_as_shuffle_poly,
     weighted_multi_indices,
 )
 from homapprox.series import system_from_strings
+from dense import dense_shuffle_poly, vectorize
 from reference_autonomous import psi, reference_autonomous
 from reparse import reparsed
 from rowspace import row_space_canonical
@@ -102,6 +106,41 @@ def test_autonomous_matches_the_psi_route(case):
     except NotAccessibleError:
         assume(False)
     assert res.autonomous == reference_autonomous(res.core, res.projected)
+
+
+def _shuffle_poly_problems(res):
+    """What the reconstructions solve for each l~_i: each of its last-letter
+    tails, and its phi image, over l~_1..l~_{i-1}."""
+    for i, (w_i, ltilde) in enumerate(zip(res.weights, res.projected)):
+        tails: dict = {}
+        for word, c in ltilde.terms.items():
+            tails.setdefault(word[-1], {})[word[:-1]] = c
+        problems = [(AlgElem(y), w_i - j - 1) for j, y in tails.items()]
+        for target, degree in problems + [(phi(ltilde), w_i - 1)]:
+            yield target, res.projected[:i], res.weights[:i], degree
+
+
+def _solved(solve, problem):
+    try:
+        return solve(*problem)
+    except NotRepresentableError:
+        return "not representable"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(systems())
+# l~_2 = 1/5 xi_2 - 2/5 xi_01: a degree-0 tail, and a phi image that is not
+# representable
+@example((system_from_strings(3, ["0", "-x1^2", "2*x1^2*t"], ["-1", "t^2", "-x2"]), 4))
+def test_shuffle_poly_solve_matches_the_dense_reference(case):
+    system, max_order = case
+    try:
+        res = approximate(system, max_order)
+    except NotAccessibleError:
+        assume(False)
+    for problem in _shuffle_poly_problems(res):
+        got = _solved(express_as_shuffle_poly, problem)
+        assert got == _solved(dense_shuffle_poly, problem), problem
 
 
 def _outcome(n, a, b, max_order):

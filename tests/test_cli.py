@@ -381,6 +381,48 @@ def test_main_maps_a_math_domain_error_in_the_backward_integration(tmp_path):
     )
 
 
+# a float error of --verify names the stage it comes from
+@pytest.mark.parametrize(
+    "text, stage",
+    [
+        # the series' (10^300)^2 terms leave float range, and the prediction
+        # is made before the backward integration
+        (
+            "n = 2\na1 = 0\na2 = sin(x1*x1)\nb1 = 10^300\nb2 = 0\n",
+            "series prediction at theta = 0.2",
+        ),
+        (
+            "n = 2\na1 = 0\na2 = 10^300*x2*x2*t^2+10^300*x1*x1*t\n"
+            "b1 = 10^300*exp(t)\nb2 = 10^300*x1*x2\n",
+            "series prediction at theta = 0.2",
+        ),
+        # a float power in the RK4 loop overflows before the blow-up check
+        (
+            "n = 1\na1 = 0\nb1 = 1000000*x1*sin(t)+exp(x1*x1)*10^6\n",
+            "backward integration",
+        ),
+        # the series' x2 is near 10^157, in float range, but not its square
+        (
+            "n = 2\na1 = 0\na2 = sin(10^160*x1*x1)\nb1 = 1\nb2 = 0\n",
+            "residual at theta = 0.2",
+        ),
+        # a constant past float range cannot be compiled into the loop
+        ("n = 1\na1 = 0\nb1 = 1 + " + "9" * 400 + "*x1\n", "backward integration"),
+    ],
+    ids=["huge_control", "huge_coefficients", "float_power", "residual", "constant"],
+)
+def test_main_names_the_stage_of_a_verification_float_error(
+    tmp_path, capsys, text, stage
+):
+    p = tmp_path / "system.txt"
+    p.write_text(text)
+    code = main(["--input", str(p), "--max-order", "5", "--verify"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "Traceback" not in err
+    assert re.fullmatch(rf"error: --verify: [^\n]+ in {re.escape(stage)}\n", err), err
+
+
 def test_main_not_accessible(tmp_path, capsys):
     p = tmp_path / "dead.txt"
     p.write_text("n = 1\na1 = 0\nb1 = 0\n")
@@ -443,7 +485,7 @@ def test_main_verify_compiles_huge_exponents(tmp_path, capsys):
     p.write_text(f"n = 1\na1 = 0\nb1 = {b1}\n")
     code = main(["--input", str(p), "--max-order", "3", "--verify"])
     assert code == EXIT_INPUT
-    message = "error: --verify: int too large to convert to float\n"
+    message = "error: --verify: int too large to convert to float in backward integration\n"
     assert capsys.readouterr().err == message
     integrate = vf.compile_backward(system_from_strings(1, ["0"], [b1]))
     with pytest.raises(OverflowError, match="int too large to convert to float"):
@@ -679,22 +721,26 @@ def _rarely(draw) -> bool:
 
 
 @st.composite
-def hostile_files(draw):
+def hostile_files(draw, broken=True):
     """A system file of dimension 1-3: sound components (drifts vanishing
-    at the origin) and at times broken ones, a bad n line, an extra key, a
-    duplicate or a missing line."""
+    at the origin) and, when broken, at times broken ones, a bad n line, an
+    extra key, a duplicate or a missing line."""
+
+    def rarely() -> bool:
+        return broken and _rarely(draw)
+
     n = draw(st.integers(1, 3))
     lines = []
     for prefix in "ab":
         for i in range(1, n + 1):
-            e = draw(_BROKEN if _rarely(draw) else _SOUND)
-            drift = prefix == "a" and not _rarely(draw)
+            e = draw(_BROKEN if rarely() else _SOUND)
+            drift = prefix == "a" and not rarely()
             lines.append(f"{prefix}{i} = " + (f"x{i} * ({e})" if drift else e))
-    lines.append(f"n = {draw(_N_VALUES) if _rarely(draw) else n}")
-    if _rarely(draw):
+    lines.append(f"n = {draw(_N_VALUES) if rarely() else n}")
+    if rarely():
         lines.append(draw(st.builds("{} = {}".format, _KEYS, _BROKEN)))
     lines = draw(st.permutations(lines))
-    return "\n".join(lines[1:] if _rarely(draw) else lines) + "\n"
+    return "\n".join(lines[1:] if rarely() else lines) + "\n"
 
 
 # seconds one hostile file may take; the slowest of 2000 random draws took 0.26 s
@@ -709,13 +755,24 @@ HOSTILE_SECONDS = 5.0
 @example(text="n = 1\na1 = 0\nb1 = ²\n")
 @example(text="n = 1\na1 = 0\nb1 = 1\na² = 0\n")
 def test_hostile_input_ends_in_a_documented_exit_property(text):
+    assert_documented_exit(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=hostile_files(broken=False))
+@example(text="n = 1\na1 = 0\nb1 = 1000000*x1*sin(t)+exp(x1*x1)*10^6\n")
+def test_hostile_input_with_verify_ends_in_a_documented_exit_property(text):
+    assert_documented_exit(text, "--verify")
+
+
+def assert_documented_exit(text, *options):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.txt"
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["--input", str(path), "--max-order", "3"])
+            code = main(["--input", str(path), "--max-order", "3", *options])
         elapsed = time.perf_counter() - start
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_NOT_ACCESSIBLE, EXIT_NO_AUTONOMOUS), err
@@ -725,4 +782,7 @@ def test_hostile_input_ends_in_a_documented_exit_property(text):
         # the line at fault, or what has none: a component, the n line or an option
         located = r"line \d+|missing component |components out of range |missing 'n|--[a-z]"
         assert re.match(rf"error: ({located})", err), err
+        if err.startswith("error: --verify: "):
+            stage = r"backward integration|(series prediction|residual) at theta = \S+"
+            assert re.fullmatch(rf"error: --verify: [^\n]+ in ({stage})\n", err), err
     assert elapsed < HOSTILE_SECONDS

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from homapprox import lie
-from homapprox.algebra import AlgElem, enumerate_basis, vectorize, word_order
+from homapprox.algebra import AlgElem, enumerate_basis, word_order
 from homapprox.lie import build_lie_basis, expand_right_normed, witt_dimension
+from dense import vectorize
 
 
 def xi(*letters):
