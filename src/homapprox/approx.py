@@ -23,9 +23,9 @@ where D_m holds the d's of order m.  Each order costs one null space of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .algebra import (
     AlgElem,
@@ -74,8 +74,7 @@ class InternalConsistencyError(Exception):
     """The construction violated one of its own guaranteed invariants."""
 
 
-@dataclass
-class CoreElement:
+class CoreElement(NamedTuple):
     index: int  # 1-based position g_i in the Lie basis
     word: Word
     elem: AlgElem
@@ -83,16 +82,14 @@ class CoreElement:
     vcoeff: tuple
 
 
-@dataclass
-class IdealGenerator:
+class IdealGenerator(NamedTuple):
     elem: AlgElem
     order: int
     # combination over Lie basis indices, e.g. d = g_7 + 6 g_6
     combo: tuple
 
 
-@dataclass
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     n: int
     ell: list
     dees: list
@@ -102,8 +99,7 @@ class CoreDecomposition:
         return tuple(l.order for l in self.ell)
 
 
-@dataclass
-class IdealBlock:
+class IdealBlock(NamedTuple):
     order: int
     dim: int  # number of words of this order
     complement: list  # AlgElem basis of the orthogonal complement of J here
@@ -113,8 +109,7 @@ class IdealBlock:
         return self.dim - len(self.complement)
 
 
-@dataclass
-class NoAutonomousApproximation:
+class NoAutonomousApproximation(NamedTuple):
     """Witness that the autonomous construction fails: the phi image of
     l~_i is not a shuffle polynomial in l~_1..l~_{i-1}."""
 
@@ -124,8 +119,7 @@ class NoAutonomousApproximation:
     order: int
 
 
-@dataclass
-class PolynomialSystem:
+class PolynomialSystem(NamedTuple):
     """dx_i/dt = a_i(t,x) + b_i(t,x) u with polynomial components stored
     as {(t_power, (x1_power, ..., xn_power)): coefficient} maps."""
 
@@ -135,8 +129,7 @@ class PolynomialSystem:
     b: list
 
 
-@dataclass
-class ApproximationResult:
+class ApproximationResult(NamedTuple):
     system: ControlSystem
     N: int
     table: SeriesTable
@@ -402,3 +395,24 @@ def check_self_consistency(result: ApproximationResult) -> None:
                 f"{exact_str(got.get(word, 0))}, projection demands "
                 f"{exact_str(want.get(word, 0))}"
             )
+
+
+def check_homogeneity(result: ApproximationResult) -> None:
+    """Every monomial t^j x^q of component i of either output system has
+    weighted degree j + sum_k q_k w_k = w_i - 1.  The self-check reads the
+    output's series only up to order w_i, so it cannot see a monomial of
+    higher degree."""
+    weights = result.weights
+    systems = {"non-autonomous": result.nonautonomous}
+    if result.autonomous_exists():
+        systems["autonomous"] = result.autonomous
+    for label, system in systems.items():
+        for part, comps in (("a", system.a), ("b", system.b)):
+            for i, (w_i, comp) in enumerate(zip(weights, comps), start=1):
+                for j, q in comp:
+                    degree = j + sum(qk * wk for qk, wk in zip(q, weights))
+                    if degree != w_i - 1:
+                        raise InternalConsistencyError(
+                            f"{label} {part}{i}: t^{j} x^{q} has weighted degree "
+                            f"{degree}, not w_{i} - 1 = {w_i - 1}"
+                        )

@@ -11,7 +11,6 @@ float code in ``verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -53,49 +52,71 @@ class PowerTooLargeError(EvalError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class Expr:
+    """An immutable node.  Each kind lists its fields in ``__slots__`` and
+    is built from their values in that order; nodes are equal when they
+    are of one kind with equal fields, and hash alike then."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):  # also __delattr__, without a value
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
     # index 0 is the time variable t; index i >= 1 is the state x_i
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(Expr):
-    terms: tuple
+    __slots__ = ("terms",)  # a tuple
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(Expr):
-    factors: tuple
+    __slots__ = ("factors",)  # a tuple
 
 
-@dataclass(frozen=True, slots=True)
 class Quot(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = ("num", "den")
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent: an int
 
 
-@dataclass(frozen=True, slots=True)
 class Func(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
 
 
 FUNCTIONS = ("sin", "cos", "exp")

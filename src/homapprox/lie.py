@@ -8,15 +8,14 @@ process and kept in memory; nothing is read from or written to disk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import AlgElem, Word, concat, enumerate_basis
 from .linalg import IntEchelon
 
 
-@dataclass
-class LieBasisElement:
+class LieBasisElement(NamedTuple):
     word: Word
     expansion: AlgElem
     order: int

@@ -12,8 +12,9 @@ Taylor jets at the origin (Griewank & Walther, Evaluating Derivatives,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as ex
 from .algebra import AlgElem, Word, enumerate_basis, exact_str, word_order
@@ -23,23 +24,21 @@ class EquilibriumError(ValueError):
     """a(t,0) is not identically zero (or cannot be certified zero)."""
 
 
-@dataclass(frozen=True)
-class ControlSystem:
+class ControlSystem(namedtuple("ControlSystem", "n a b")):
     """dx/dt = a(t,x) + b(t,x) u with analytic right-hand sides."""
 
-    n: int
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, a: tuple, b: tuple):
+        if n < 1:
             raise ValueError("state dimension must be >= 1")
-        if len(self.a) != self.n or len(self.b) != self.n:
+        if len(a) != n or len(b) != n:
             raise ValueError("a and b must each have n components")
-        for f in (*self.a, *self.b):
-            bad = [i for i in ex.variables(f) if i > self.n]
+        for f in (*a, *b):
+            bad = [i for i in ex.variables(f) if i > n]
             if bad:
-                raise ValueError(f"component uses x{max(bad)} but n = {self.n}")
+                raise ValueError(f"component uses x{max(bad)} but n = {n}")
+        return super().__new__(cls, n, a, b)
 
 
 def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
@@ -261,8 +260,7 @@ def apply_R_b(jets: JetSystem, fs, degree: int) -> tuple:
     return jets.apply(jets.R_b, fs, degree)
 
 
-@dataclass
-class SeriesTable:
+class SeriesTable(NamedTuple):
     """Moment coefficients v(w) for all words of order <= N (zeros omitted)."""
 
     n: int

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as ex
 from .algebra import Word, enumerate_basis, word_order, word_sort_key, _shuffle_words
@@ -48,11 +48,12 @@ def _stage(name: str, errors=ArithmeticError):
     try:
         yield
     except errors as err:
-        raise VerificationError(f"{err} in {name}") from err
+        # a float overflow carries (errno, reason); the reason is the message
+        reason = err.args[-1] if err.args else err
+        raise VerificationError(f"{reason} in {name}") from err
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantControl:
+class PiecewiseConstantControl(NamedTuple):
     values: tuple
 
     def describe(self) -> str:
@@ -329,16 +330,14 @@ def fit_slope(thetas, residuals, floor: float = NOISE_FLOOR):
     return sxy / sxx
 
 
-@dataclass
-class ControlCheck:
+class ControlCheck(NamedTuple):
     control: PiecewiseConstantControl
     thetas: tuple
     residuals: tuple
     slope: object  # float | None when all residuals sit at the noise floor
 
 
-@dataclass
-class OrderCheckResult:
+class OrderCheckResult(NamedTuple):
     N: int
     checks: list
     required_slope: float

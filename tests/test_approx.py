@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import sys
 from decimal import Decimal
@@ -15,6 +14,7 @@ from homapprox.approx import (
     NotRepresentableError,
     approximate,
     build_ideal_blocks,
+    check_homogeneity,
     check_self_consistency,
     express_as_shuffle_poly,
     select_core,
@@ -165,7 +165,7 @@ def test_blocks_check_codimension_at_runtime(res3):
     # without ideal generators J is 0 and the complement at order 2 is
     # all of it: codimension 2 (xi_1 and xi_00), but weights (1, 3, 4)
     # give only one shuffle monomial of order 2
-    core = dataclasses.replace(res3.core, dees=[])
+    core = res3.core._replace(dees=[])
     with pytest.raises(InternalConsistencyError, match="order 2 has codimension 2,"):
         build_ideal_blocks(core)
 
@@ -388,8 +388,8 @@ def test_self_check_builds_its_jets_once(monkeypatch):
 
 
 def test_self_consistency_detects_corruption(res3):
-    broken = dataclasses.replace(
-        res3, projected=[res3.projected[0], 2 * res3.projected[1], res3.projected[2]]
+    broken = res3._replace(
+        projected=[res3.projected[0], 2 * res3.projected[1], res3.projected[2]]
     )
     message = "component 2, word (2,): series gives 1/5, projection demands 2/5"
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
@@ -401,12 +401,22 @@ def test_self_consistency_detects_a_stray_lower_order_coefficient(res3):
     # of order 2 < w_3 = 4 that l~_3 does not contain
     b = [dict(comp) for comp in res3.nonautonomous.b]
     b[2][(0, (1, 0, 0))] = F(7)
-    broken = dataclasses.replace(
-        res3, nonautonomous=dataclasses.replace(res3.nonautonomous, b=b)
-    )
+    broken = res3._replace(nonautonomous=res3.nonautonomous._replace(b=b))
     message = "component 3, word (0, 0): series gives -7, projection demands 0"
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
         check_self_consistency(broken)
+
+
+def test_homogeneity_detects_a_monomial_of_the_wrong_degree(res3):
+    # 7*x3 added to b_3 has weighted degree w_3 = 4, not 3; its terms in the
+    # output's series have order 5 > w_3, past what the self-check compares
+    b = [dict(comp) for comp in res3.nonautonomous.b]
+    b[2][(0, (0, 0, 1))] = F(7)
+    broken = res3._replace(nonautonomous=res3.nonautonomous._replace(b=b))
+    check_self_consistency(broken)
+    message = "non-autonomous b3: t^0 x^(0, 0, 1) has weighted degree 4, not w_3 - 1 = 3"
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        check_homogeneity(broken)
 
 
 def test_idempotence_nonautonomous(res3, res_drift):

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -22,6 +21,7 @@ from homapprox.algebra import AlgElem
 from homapprox.approx import approximate
 from homapprox.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_NO_AUTONOMOUS,
     EXIT_NOT_ACCESSIBLE,
     EXIT_OK,
@@ -270,6 +270,24 @@ def test_main_maps_evaluation_errors_past_the_parser(tmp_path, capsys, monkeypat
     assert "division by zero" in capsys.readouterr().err
 
 
+def test_main_exits_internal_on_an_inhomogeneous_output(ex1_file, capsys, monkeypatch):
+    # 7*x3 in b_3 is of too high a weight for the self-check to see
+    original = cli.ap.approximate
+
+    def corrupted(system, max_order):
+        res = original(system, max_order=max_order)
+        b = [dict(comp) for comp in res.nonautonomous.b]
+        b[2][(0, (0, 0, 1))] = F(7)
+        return res._replace(nonautonomous=res.nonautonomous._replace(b=b))
+
+    monkeypatch.setattr(cli.ap, "approximate", corrupted)
+    assert main(["--input", str(ex1_file)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: non-autonomous b3: t^0 x^(0, 0, 1) has weighted degree 4, "
+        "not w_3 - 1 = 3\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
 def test_main_looks_up_the_renderer_at_call_time(ex1_file, capsys, monkeypatch, fmt):
     # a renderer rebound on the report module, as a tracing wrapper does,
@@ -423,6 +441,17 @@ def test_main_names_the_stage_of_a_verification_float_error(
     assert re.fullmatch(rf"error: --verify: [^\n]+ in {re.escape(stage)}\n", err), err
 
 
+def test_main_names_the_reason_of_a_float_overflow(tmp_path, capsys):
+    # a float ** in the RK4 loop overflows with (errno, reason) as its args
+    p = tmp_path / "system.txt"
+    p.write_text("n = 1\na1 = 0\nb1 = 1000000*x1*sin(t)+exp(x1*x1)*10^6\n")
+    code = main(["--input", str(p), "--max-order", "3", "--verify"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: --verify: Numerical result out of range in backward integration\n"
+    )
+
+
 def test_main_not_accessible(tmp_path, capsys):
     p = tmp_path / "dead.txt"
     p.write_text("n = 1\na1 = 0\nb1 = 0\n")
@@ -519,6 +548,19 @@ def test_console_script_runs(ex1_file):
     )
     assert proc.returncode == EXIT_NO_AUTONOMOUS
     assert "Homogeneous approximation report" in proc.stdout
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # every run is a cold start, and dataclasses with what it imports
+    # (inspect, ast, dis, tokenize) and its generated methods cost about a
+    # fifth of one
+    code = (
+        "import sys; before = set(sys.modules); import homapprox.cli; "
+        "print(sorted({'dataclasses'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +679,7 @@ def test_polynomial_renderers():
 def test_witness_scope_names_the_earlier_projections():
     # the goldens cover witness indices 1 and 2; index 3 names a range
     res = approximate(system_from_strings(1, ["0"], ["t"]))
-    wit = dataclasses.replace(res.autonomous, index=3)
-    res = dataclasses.replace(res, autonomous=wit)
+    res = res._replace(autonomous=res.autonomous._replace(index=3))
     assert "shuffle polynomial in l~_1..l~_2\n" in render_text(res)
     latex = render_latex(res)
     assert r"shuffle polynomial in $\tilde\ell_1,\dots,\tilde\ell_{2}$." in latex
@@ -648,8 +689,8 @@ def test_ideal_generator_line_folds_negative_coefficients(sys3):
     # the goldens only have a negative first coefficient (d_4 = -g_7 + 6*g_6)
     res = approximate(sys3)
     d = res.core.dees[0]
-    dees = [dataclasses.replace(d, combo=((F(1), 7), (F(-6), 6), (F(-1), 5)))]
-    res = dataclasses.replace(res, core=dataclasses.replace(res.core, dees=dees))
+    dees = [d._replace(combo=((F(1), 7), (F(-6), 6), (F(-1), 5)))]
+    res = res._replace(core=res.core._replace(dees=dees))
     line = f"  d_1 = g_7 - 6*g_6 - g_5 = {d.elem}  (order {d.order})\n"
     assert line in render_text(res)
 
@@ -697,11 +738,15 @@ def _broken(inner):
     )
 
 
-_SOUND = st.recursive(
-    _NUMBERS | st.sampled_from(["t", "x1", "x2", "x3"]), _sound, max_leaves=6
-)
+def _sound_over(n):
+    """Grammatical expressions over t and the states x1..xn."""
+    states = ["t", *(f"x{i}" for i in range(1, n + 1))]
+    return st.recursive(_NUMBERS | st.sampled_from(states), _sound, max_leaves=6)
+
+
+_SOUND = {n: _sound_over(n) for n in (1, 2, 3)}
 _BROKEN = st.recursive(
-    _SOUND | st.sampled_from(["x0", "x4", "x01", "x", "y", "u", "x²", "x١"]),
+    _SOUND[3] | st.sampled_from(["x0", "x4", "x01", "x", "y", "u", "x²", "x١"]),
     _broken,
     max_leaves=4,
 )
@@ -724,16 +769,18 @@ def _rarely(draw) -> bool:
 def hostile_files(draw, broken=True):
     """A system file of dimension 1-3: sound components (drifts vanishing
     at the origin) and, when broken, at times broken ones, a bad n line, an
-    extra key, a duplicate or a missing line."""
+    extra key, a duplicate or a missing line.  Sound files read only the
+    states x1..xn."""
 
     def rarely() -> bool:
         return broken and _rarely(draw)
 
     n = draw(st.integers(1, 3))
+    sound = _SOUND[3 if broken else n]  # broken files read x1..x3 whatever n is
     lines = []
     for prefix in "ab":
         for i in range(1, n + 1):
-            e = draw(_BROKEN if rarely() else _SOUND)
+            e = draw(_BROKEN if rarely() else sound)
             drift = prefix == "a" and not rarely()
             lines.append(f"{prefix}{i} = " + (f"x{i} * ({e})" if drift else e))
     lines.append(f"n = {draw(_N_VALUES) if rarely() else n}")
