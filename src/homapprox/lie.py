@@ -19,7 +19,6 @@ class LieBasisElement(NamedTuple):
     word: Word
     expansion: AlgElem
     order: int
-    length: int
     index: int  # 1-based position in the assembled basis
 
 
@@ -109,7 +108,6 @@ def build_lie_basis(N: int) -> list:
                     word=w,
                     expansion=expand_right_normed(w),
                     order=m,
-                    length=len(w),
                     index=idx,
                 )
             )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import expr as ex
-from .algebra import AlgElem, Word, enumerate_basis, exact_str, word_order
+from .algebra import AlgElem, Word, enumerate_basis, exact_str, word_order, word_sort_key
 
 
 class EquilibriumError(ValueError):
@@ -286,8 +286,6 @@ class SeriesTable(NamedTuple):
         return tuple(acc)
 
     def nonzero_items(self) -> list:
-        from .algebra import word_sort_key
-
         return sorted(self.coeffs.items(), key=lambda p: word_sort_key(p[0]))
 
     def to_json(self) -> list:
@@ -297,94 +295,63 @@ class SeriesTable(NamedTuple):
         ]
 
 
+def _stack(jets: JetSystem, memo: dict, j: int, w: Word, p: int) -> tuple:
+    """(ad_{R_a}^j R_b) applied to R_a^p (stack of w) on jets; for j = -1,
+    R_a^p applied to the stack of w, the identity for w = ().  memo holds
+    the stacks already computed on these jets, keyed by (j, w, p)."""
+    key = (j, w, p)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    degree = jets.D - word_order(w) - p - j - 1
+    if j < 0:
+        if p:
+            got = apply_R_a(jets, _stack(jets, memo, -1, w, p - 1), degree)
+        else:
+            got = _stack(jets, memo, w[0], w[1:], 0) if w else jets.identity
+    elif j == 0:
+        got = apply_R_b(jets, _stack(jets, memo, -1, w, p), degree)
+    else:
+        left = apply_R_a(jets, _stack(jets, memo, j - 1, w, p), degree)
+        got = tuple(map(_sub, left, _stack(jets, memo, j - 1, w, p + 1)))
+    memo[key] = got
+    return got
+
+
 class SeriesComputer:
     """Evaluates moment coefficients on Taylor jets of the system.
 
     A word of order m applies m first-order operators, each lowering the
     total degree of any term by at most one, so terms above degree m
-    never reach the value at the origin: jets truncated at degree D give
-    every word of order <= D exactly, and a stack that has applied k
-    operators is kept only up to degree D - k.  Operator stacks are
-    memoized by (ad power, suffix word, R_a power).  Asking for an order
-    above D rebuilds the jets at that order and drops the memos, whose
-    truncation no longer fits; the exact moment vectors are kept.
-    `table_up_to` drops the memos when it returns.  It takes a
-    PolynomialSystem as it stands; `approximate` certifies the equilibrium.
+    never reach the value at the origin: jets truncated at degree N give
+    every word of order <= N exactly, and a stack that has applied k
+    operators is kept only up to degree N - k.  One `table_up_to(N)`
+    call owns its jets, built at degree N when it first meets a word
+    without a vector, and its memo of operator stacks; both go when it
+    returns.  The exact moment vectors persist, so a larger table
+    computes only the words it adds.  It takes a PolynomialSystem as it
+    stands; `approximate` certifies the equilibrium.
     """
 
     def __init__(self, sys):
         self.sys = sys
-        self._jets = None
         self._vectors: dict = {}
-        self._release_memos()
-
-    def _release_memos(self) -> None:
-        self._ra_powers: dict = {}
-        self._ad: dict = {}
-
-    def _reach(self, order: int) -> None:
-        """Make the jets exact for every word of order <= `order`."""
-        if self._jets is None or self._jets.D < order:
-            self._jets = JetSystem(self.sys, order)
-            self._release_memos()
-
-    def _ra(self, w: Word, p: int) -> tuple:
-        key = (w, p)
-        got = self._ra_powers.get(key)
-        if got is None:
-            if p == 0:
-                got = self._stack(w)
-            else:
-                degree = self._jets.D - word_order(w) - p
-                got = apply_R_a(self._jets, self._ra(w, p - 1), degree)
-            self._ra_powers[key] = got
-        return got
-
-    def _stack(self, w: Word) -> tuple:
-        # operator stack of the whole suffix word applied to the identity
-        if not w:
-            return self._jets.identity
-        return self._ad_vec(w[0], w[1:], 0)
-
-    def _ad_vec(self, j: int, w: Word, p: int) -> tuple:
-        """(ad_{R_a}^j R_b) applied to R_a^p (stack of w)."""
-        key = (j, w, p)
-        got = self._ad.get(key)
-        if got is not None:
-            return got
-        degree = self._jets.D - word_order(w) - p - j - 1
-        if j == 0:
-            got = apply_R_b(self._jets, self._ra(w, p), degree)
-        else:
-            left = apply_R_a(self._jets, self._ad_vec(j - 1, w, p), degree)
-            right = self._ad_vec(j - 1, w, p + 1)
-            got = tuple(_sub(l, r) for l, r in zip(left, right))
-        self._ad[key] = got
-        return got
-
-    def moment_vector(self, w: Word) -> tuple:
-        w = tuple(w)
-        if not w:
-            raise ValueError("moment words are non-empty")
-        got = self._vectors.get(w)
-        if got is not None:
-            return got
-        self._reach(word_order(w))
-        denom = 1
-        for m in w:
-            denom *= math.factorial(m)
-        scale = Fraction((-1) ** len(w), denom)
-        vec = tuple(scale * f.get(0, 0) for f in self._stack(w))
-        self._vectors[w] = vec
-        return vec
 
     def table_up_to(self, N: int) -> SeriesTable:
-        self._reach(N)
+        jets, memo = None, {}
         coeffs = {}
         for m in range(1, N + 1):
             for w in enumerate_basis(m):
-                vec = self.moment_vector(w)
+                vec = self._vectors.get(w)
+                if vec is None:
+                    if jets is None:
+                        jets = JetSystem(self.sys, N)
+                    denom = 1
+                    for k in w:
+                        denom *= math.factorial(k)
+                    scale = Fraction((-1) ** len(w), denom)
+                    stack = _stack(jets, memo, -1, w, 0)
+                    vec = self._vectors[w] = tuple(scale * f.get(0, 0) for f in stack)
                 if any(c != 0 for c in vec):
                     coeffs[w] = vec
-        self._release_memos()
         return SeriesTable(self.sys.n, N, coeffs)

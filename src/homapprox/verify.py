@@ -32,6 +32,7 @@ from .series import ControlSystem, SeriesTable
 DEFAULT_STEPS = 2000
 NOISE_FLOOR = 1e-13
 THETAS = tuple(0.2 * 2**-j for j in range(6))  # order_check's horizons
+CONTROL_SEED = 20240801  # run_verification's controls, the same every run
 CONTROL_VALUES = (-1.0, -0.5, 0.5, 1.0)
 # piece counts dividing DEFAULT_STEPS, as backward_endpoint requires, so
 # switches land on its grid nodes
@@ -260,27 +261,19 @@ def compile_backward(sys: ControlSystem):
     return namespace["_backward"]
 
 
-def backward_endpoint(
-    sys: ControlSystem,
-    control: PiecewiseConstantControl,
-    theta: float,
-    steps: int = DEFAULT_STEPS,
-    integrate=None,
-) -> list:
-    """RK4 integration of dx/dt = a + b u backwards from x(theta) = 0;
-    returns x(0), the point the series represents.  The control's piece
-    count must divide steps, so that no step straddles a switch.
-    integrate, from compile_backward(sys), is compiled here when not
-    given.  A division by zero, an overflow or a math domain error in the
-    field is a VerificationError."""
-    if steps % len(control.values):
+def backward_endpoint(integrate, control, theta: float) -> list:
+    """x(0) of dx/dt = a + b u integrated backwards from x(theta) = 0 by
+    integrate, from compile_backward, in DEFAULT_STEPS RK4 steps: the
+    point the series represents.  The control's piece count must divide
+    DEFAULT_STEPS, so that no step straddles a switch.  A division by
+    zero, an overflow or a math domain error in the field is a
+    VerificationError."""
+    if DEFAULT_STEPS % len(control.values):
         raise ValueError(
-            f"{len(control.values)} control pieces do not divide {steps} steps"
+            f"{len(control.values)} control pieces do not divide {DEFAULT_STEPS} steps"
         )
-    if integrate is None:
-        integrate = compile_backward(sys)
     with _stage("backward integration", (ArithmeticError, ValueError)):
-        return integrate(control.values, theta, steps)
+        return integrate(control.values, theta, DEFAULT_STEPS)
 
 
 def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
@@ -298,28 +291,14 @@ def series_prediction(table: SeriesTable, moments: dict, theta: float) -> list:
         return [float(x) for x in out]
 
 
-def residual(
-    sys: ControlSystem,
-    table: SeriesTable,
-    control: PiecewiseConstantControl,
-    moments: dict,
-    theta: float,
-    integrate=None,
-) -> float:
-    predicted = series_prediction(table, moments, theta)
-    actual = backward_endpoint(sys, control, theta, integrate=integrate)
-    with _stage(f"residual at theta = {theta!r}"):
-        return math.sqrt(sum((p - a) ** 2 for p, a in zip(predicted, actual)))
-
-
-def fit_slope(thetas, residuals, floor: float = NOISE_FLOOR):
-    """Least-squares slope of log(residual) against log(theta), ignoring
-    residuals at the double-precision noise floor; None if fewer than two
-    usable points remain."""
+def fit_slope(residuals):
+    """Least-squares slope of log(residual) against log(theta) over
+    THETAS, ignoring residuals at the double-precision noise floor; None
+    if fewer than two usable points remain."""
     points = [
         (math.log(t), math.log(r))
-        for t, r in zip(thetas, residuals)
-        if r > floor
+        for t, r in zip(THETAS, residuals)
+        if r > NOISE_FLOOR
     ]
     if len(points) < 2:
         return None
@@ -344,7 +323,7 @@ class OrderCheckResult(NamedTuple):
 
 
 def order_check(
-    sys: ControlSystem, table: SeriesTable, controls, moments, thetas=THETAS
+    sys: ControlSystem, table: SeriesTable, controls, moments
 ) -> OrderCheckResult:
     """Residual between series prediction and backward integration must
     vanish at rate theta^(N+1): fitted slope >= N + 0.7 per control.
@@ -353,10 +332,14 @@ def order_check(
         integrate = compile_backward(sys)
     checks = []
     for control, xi in zip(controls, moments):
-        res = tuple(residual(sys, table, control, xi, th, integrate) for th in thetas)
-        checks.append(
-            ControlCheck(control, tuple(thetas), res, fit_slope(thetas, res))
-        )
+        res = []
+        for theta in THETAS:
+            predicted = series_prediction(table, xi, theta)
+            actual = backward_endpoint(integrate, control, theta)
+            with _stage(f"residual at theta = {theta!r}"):
+                squares = sum((p - a) ** 2 for p, a in zip(predicted, actual))
+                res.append(math.sqrt(squares))
+        checks.append(ControlCheck(control, THETAS, tuple(res), fit_slope(res)))
     return OrderCheckResult(table.N, checks, table.N + 0.7)
 
 

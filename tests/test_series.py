@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from homapprox import expr as ex
-from homapprox.algebra import enumerate_basis
+from homapprox.algebra import word_order
 from homapprox.approx import approximate
 from homapprox.cli import parse_system_file
 from homapprox.lie import build_lie_basis, expand_right_normed
@@ -94,14 +94,6 @@ def test_moment_coefficients_match_published_values(sys3):
     assert table.coeffs == EXPECTED_SYS3_TABLE
 
 
-def test_all_other_low_words_vanish(sys3):
-    comp = SeriesComputer(sys3)
-    for m in range(1, 5):
-        for w in enumerate_basis(m):
-            expected = EXPECTED_SYS3_TABLE.get(w, vec(0, 0, 0))
-            assert comp.moment_vector(w) == expected, w
-
-
 def test_lie_coefficients_match_published_values(sys3):
     table = SeriesComputer(sys3).table_up_to(4)
     basis = build_lie_basis(4)
@@ -154,21 +146,15 @@ def test_table_after_smaller_table_matches_fresh_computer(sys3_drift):
     assert comp.table_up_to(5) == SeriesComputer(sys3_drift).table_up_to(5)
 
 
-def test_word_above_table_order_matches_fresh_computer(sys3):
-    comp = SeriesComputer(sys3)
-    comp.table_up_to(3)
-    for w in ((0, 0, 0, 1), (0, 0, 0, 0, 0), (2, 1)):  # order 5 = N + 2
-        assert comp.moment_vector(w) == SeriesComputer(sys3).moment_vector(w), w
-
-
-def test_words_of_rising_order_match_table(sys3):
-    # the self-check's pattern: no table, so each new order rebuilds the
-    # jets while the operator memos of the lower orders are still held
-    comp = SeriesComputer(sys3)
-    table = SeriesComputer(sys3).table_up_to(5)
-    for m in range(1, 6):
-        for w in enumerate_basis(m):
-            assert comp.moment_vector(w) == table.v(w), w
+def test_table_grown_one_order_at_a_time_matches_fresh_builds():
+    # select_core's pattern: each call rebuilds the jets at its order and
+    # computes only the words the last table lacked; rat3's components
+    # include a quotient, cos and exp
+    rat3 = parse_system_file((SYSTEMS / "rat3.txt").read_text())
+    comp = SeriesComputer(rat3)
+    for m in range(1, 7):
+        assert comp.table_up_to(m) == SeriesComputer(rat3).table_up_to(m), m
+    assert any(word_order(w) == 6 for w in comp.table_up_to(6).coeffs)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from homapprox.verify import (
     max_shuffle_residual,
     order_check,
     random_control,
-    residual,
     series_prediction,
 )
 from reference_moments import all_words, reference_moments
@@ -102,10 +101,11 @@ def test_moments_match_sympy_piecewise_integrals():
 def test_backward_endpoint_scalar(sys_scalar):
     # dx = u with x(theta) = 0 gives x(0) = -integral of u
     theta = 0.4
-    x0 = backward_endpoint(sys_scalar, U_ONE, theta)
+    integrate = compile_backward(sys_scalar)
+    x0 = backward_endpoint(integrate, U_ONE, theta)
     assert x0[0] == pytest.approx(-theta, abs=1e-12)
     zero = PiecewiseConstantControl((0.0,))
-    assert backward_endpoint(sys_scalar, zero, theta)[0] == 0.0
+    assert backward_endpoint(integrate, zero, theta)[0] == 0.0
 
 
 def test_series_prediction_matches_backward_for_exact_series(sys_scalar):
@@ -114,9 +114,13 @@ def test_series_prediction_matches_backward_for_exact_series(sys_scalar):
     theta = 0.3
     moments = evaluate_moments(u, all_words(3))
     predicted = series_prediction(table, moments, theta)
-    actual = backward_endpoint(sys_scalar, u, theta)
+    actual = backward_endpoint(compile_backward(sys_scalar), u, theta)
     assert predicted[0] == pytest.approx(actual[0], abs=1e-12)
-    assert residual(sys_scalar, table, u, moments, theta) < 1e-12
+    # so every residual of order_check sits at the noise floor
+    (check,) = order_check(sys_scalar, table, [u], [moments]).checks
+    assert check.thetas == THETAS
+    assert max(check.residuals) < 1e-12
+    assert check.slope is None
 
 
 def test_reference_field_agrees_with_exact_evaluation(sys3):
@@ -144,14 +148,13 @@ def test_reference_field_agrees_with_exact_evaluation(sys3):
 
 
 def test_fit_slope():
-    thetas = [0.2 * 2**-j for j in range(5)]
-    residuals = [3.0 * t**5 for t in thetas]
-    slope = fit_slope(thetas, residuals)
+    residuals = [3.0 * t**5 for t in THETAS]
+    slope = fit_slope(residuals)
     assert slope == pytest.approx(5.0, abs=1e-9)
-    assert fit_slope(thetas, [1e-15] * 5) is None
+    assert fit_slope([1e-15] * len(THETAS)) is None
     # points at the floor are discarded before fitting
-    mixed = [3.0 * t**5 for t in thetas[:3]] + [1e-16, 1e-16]
-    assert fit_slope(thetas, mixed) == pytest.approx(5.0, abs=1e-6)
+    mixed = [3.0 * t**5 for t in THETAS[:3]] + [1e-16] * (len(THETAS) - 3)
+    assert fit_slope(mixed) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_order_check_on_worked_example(sys3):
@@ -276,7 +279,7 @@ def test_backward_endpoint_matches_the_reference_bit_for_bit(sys_scalar, sys3):
             )
             for theta in THETAS:
                 want = reference_backward_endpoint(sys, control, theta, DEFAULT_STEPS)
-                got = backward_endpoint(sys, control, theta, integrate=integrate)
+                got = backward_endpoint(integrate, control, theta)
                 assert hexed(got) == hexed(want), (name, pieces, theta)
 
 
@@ -370,7 +373,7 @@ def test_a_failing_step_raises_what_the_reference_raises(a, b, u, theta, error):
     assert str(got.value) == str(want.value)
     # backward_endpoint reports the field's float errors as a VerificationError
     with pytest.raises(VerificationError) as reported:
-        backward_endpoint(sys, control, theta)
+        backward_endpoint(compile_backward(sys), control, theta)
     if error is VerificationError:
         assert str(reported.value) == str(want.value)
     else:
@@ -379,19 +382,21 @@ def test_a_failing_step_raises_what_the_reference_raises(a, b, u, theta, error):
 
 
 def test_backward_endpoint_needs_the_pieces_to_divide_the_steps(sys_scalar):
-    control = PiecewiseConstantControl((1.0, -1.0, 0.5, -0.5))
-    with pytest.raises(ValueError, match="divide"):
-        backward_endpoint(sys_scalar, control, 0.1, steps=2001)
+    control = PiecewiseConstantControl((1.0, -1.0, 0.5))
+    assert DEFAULT_STEPS % 3
+    with pytest.raises(ValueError, match="3 control pieces do not divide"):
+        backward_endpoint(compile_backward(sys_scalar), control, 0.1)
 
 
 def test_backward_endpoint_blow_up_matches_the_reference():
     # x1' = x1^2 + 10^6 u leaves float range
     sys = system_from_strings(1, ["x1^2"], ["1000000"])
+    integrate = compile_backward(sys)
     for theta in THETAS[:2]:
         with pytest.raises(VerificationError, match="blow-up"):
             reference_backward_endpoint(sys, U_ONE, theta, DEFAULT_STEPS)
         with pytest.raises(VerificationError, match="blow-up"):
-            backward_endpoint(sys, U_ONE, theta)
+            backward_endpoint(integrate, U_ONE, theta)
 
 
 def test_run_verification_integrates_each_control_once(sys3, monkeypatch):
