@@ -1,20 +1,24 @@
 """Command-line driver.
 
 Reads a declarative system description, runs the approximation pipeline
-and writes a report.  Exit codes: 0 success, 2 input error or a report
-that --out or stdout cannot take, 3 system not accessible up to the
-order cap, 4 autonomous approximation requested but nonexistent (the
-report, including the witness, is still produced), 5 internal error.
+and writes a report.  `read_options` reads the command line from the
+`_OPTIONS` table as the standard library's option parser did, without
+the about 5 ms (Python 3.11, x86-64) that parser, its message catalogue
+and the locale module cost every cold run.  Exit codes: 0 success, 2
+input error or a report that --out or stdout cannot take, 3 system not
+accessible up to the order cap, 4 autonomous approximation requested but
+nonexistent (the report, including the witness, is still produced), 5
+internal error.
 Constants of any length go through `algebra.exact_number` and
 `exact_str`; Python's int-to-string digit limit is left as it is.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import random
+import re
 import sys as _sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import approx as ap
 from . import expr as ex
@@ -35,6 +39,26 @@ EXIT_INTERNAL = 5
 # --format choices; main looks up report.render_<format> at call time, so a
 # wrapper rebound on the report module runs
 _EXTENSIONS = {"text": "txt", "latex": "tex", "json": "json"}
+
+_DESCRIPTION = (
+    "Compute the homogeneous approximation of a single-input control-affine system\n"
+    "dx/dt = a(t,x) + b(t,x)u around the origin, with exact rational arithmetic."
+)
+_USAGE = """usage: homapprox [-h] --input INPUT [--max-order MAX_ORDER]
+                 [--mode {both,nonautonomous,autonomous}]
+                 [--format {text,latex,json}] [--verify] [--out OUT]"""
+# option -> (what it takes: str, int, a tuple of choices or None for a flag; default; help)
+_OPTIONS = {
+    "--help": (None, None, "show this help message and exit"),
+    "--input": (str, None, "system description file"),
+    "--max-order": (int, ap.DEFAULT_MAX_ORDER,
+                    f"cap on the series order N (default {ap.DEFAULT_MAX_ORDER})"),
+    "--mode": (("both", "nonautonomous", "autonomous"), "both",
+               "which approximating systems to report"),
+    "--format": (tuple(_EXTENSIONS), "text", "report format"),
+    "--verify": (None, False, "run numerical cross-checks and include them in the report"),
+    "--out": (str, None, "directory for the report file"),
+}
 
 
 class InputError(Exception):
@@ -119,52 +143,82 @@ def run_verification(result: ap.ApproximationResult) -> dict:
     return {"order_check": oc, "shuffle_residual": shuffle_res}
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="homapprox",
-        description=(
-            "Compute the homogeneous approximation of a single-input "
-            "control-affine system dx/dt = a(t,x) + b(t,x)u around the "
-            "origin, with exact rational arithmetic."
-        ),
-    )
-    p.add_argument("--input", required=True, help="system description file")
-    p.add_argument(
-        "--max-order",
-        type=int,
-        default=ap.DEFAULT_MAX_ORDER,
-        help=f"cap on the series order N (default {ap.DEFAULT_MAX_ORDER})",
-    )
-    p.add_argument(
-        "--mode",
-        choices=("both", "nonautonomous", "autonomous"),
-        default="both",
-        help="which approximating systems to report",
-    )
-    p.add_argument(
-        "--format",
-        choices=tuple(_EXTENSIONS),
-        default="text",
-        help="report format",
-    )
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="run numerical cross-checks and include them in the report",
-    )
-    p.add_argument("--out", default=None, help="directory for the report file")
-    return p
+def _fail(message: str):
+    _sys.stderr.write(f"{_USAGE}\nhomapprox: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _classify(token: str):
+    """(option, its attached value or None), ("", None) if unknown, or None for a value."""
+    if token[:1] != "-" or token == "-" or re.match(r"-\d+$|-\d*\.\d+$", token):  # -1 is a value
+        return None
+    if token[1] == "h":  # the one short option: -hX and -h=X attach X, -hh is -h twice
+        given = token[3:] if token[2:3] == "=" else token[2:] or None
+        return "--help", (given.lstrip("h") or None) if given else given
+    name, eq, given = token.partition("=")
+    prefixed = [o for o in _OPTIONS if o.startswith(name)] if token[1] == "-" else []
+    matches = [name] if name in _OPTIONS else prefixed
+    if len(matches) > 1:
+        _fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], given if eq else None
+    return None if " " in token else ("", None)
+
+
+def read_options(argv=None) -> SimpleNamespace:
+    """The options in `argv` (default sys.argv[1:]): `--opt value` or
+    `--opt=value`, a unique prefix for a name, the last occurrence winning.
+    A bad command line prints the usage and an error and exits 2."""
+    tokens = list(_sys.argv[1:] if argv is None else argv)
+    # no option after "--", and every token is classified before any is read
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(token) for token in tokens[:end]]
+    values = {name: default for name, (_, default, _) in _OPTIONS.items()}
+    extras, i = [], 0
+    while i < end:
+        name, given = kinds[i] or ("", None)
+        i += 1
+        if not name:
+            extras.append(tokens[i - 1])
+            continue
+        takes, label = _OPTIONS[name][0], "-h/--help" if name == "--help" else name
+        if takes is None and given is not None:
+            _fail(f"argument {label}: ignored explicit argument {given!r}")
+        if name == "--help":
+            rows = "".join(f"\n  {'-h, --help' if o == '--help' else o:14}{spec[2]}"
+                           for o, spec in _OPTIONS.items())
+            print(f"{_USAGE}\n\n{_DESCRIPTION}\n\noptions:{rows}")
+            raise SystemExit(EXIT_OK)
+        if given is None and takes is not None:
+            if i == end or kinds[i] is not None:
+                _fail(f"argument {label}: expected one argument")
+            given, i = tokens[i], i + 1
+        if takes is int:
+            try:
+                given = int(given)
+            except ValueError:
+                _fail(f"argument {label}: invalid int value: {given!r}")
+        elif isinstance(takes, tuple) and given not in takes:
+            _fail(f"argument {label}: invalid choice: {given!r} (choose from {str(takes)[1:-1]})")
+        values[name] = True if takes is None else given
+    extras += tokens[end:]
+    if values["--input"] is None:
+        _fail("the following arguments are required: --input")
+    if extras:
+        _fail("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**{name[2:].replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = read_options(argv)
     if args.max_order < 1:
         print("error: --max-order must be >= 1", file=_sys.stderr)
         return EXIT_INPUT
 
     try:
-        text = Path(args.input).read_text()
-    except OSError as err:
+        with open(args.input) as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.input}: {err}", file=_sys.stderr)
         return EXIT_INPUT
 
@@ -203,10 +257,10 @@ def main(argv=None) -> int:
         print(f"error: cannot write the report: {err}", file=_sys.stderr)
         return EXIT_INPUT
     if args.out:
-        target = Path(args.out) / f"report.{_EXTENSIONS[args.format]}"
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(rendered + ("\n" if not rendered.endswith("\n") else ""))
+            os.makedirs(args.out, exist_ok=True)
+            with open(os.path.join(args.out, f"report.{_EXTENSIONS[args.format]}"), "w") as f:
+                f.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
         except OSError as err:
             print(f"error: --out: cannot write the report: {err}", file=_sys.stderr)
             return EXIT_INPUT

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from homapprox import cli
 from homapprox import expr as ex
 from homapprox import verify as vf
 from homapprox.algebra import AlgElem
-from homapprox.approx import approximate
+from homapprox.approx import DEFAULT_MAX_ORDER, approximate
 from homapprox.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -179,13 +180,148 @@ def test_main_certifies_a_drift_cancelling_up_to_a_quotient_sign(tmp_path):
 
 
 def test_main_rejects_bad_options(ex1_file, capsys):
-    # argparse checks the choices, main the order cap; all exit 2
+    # the option reader checks the choices, main the order cap; all exit 2
     for bad in (["--mode", "sideways"], ["--format", "pdf"], ["--cache-dir", "d"]):
         with pytest.raises(SystemExit) as exc:
             main(["--input", str(ex1_file), *bad])
         assert exc.value.code == EXIT_INPUT
     assert main(["--input", str(ex1_file), "--max-order", "0"]) == EXIT_INPUT
     assert "error: --max-order must be >= 1" in capsys.readouterr().err
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before it read its options itself."""
+    p = argparse.ArgumentParser(
+        prog="homapprox",
+        description=(
+            "Compute the homogeneous approximation of a single-input "
+            "control-affine system dx/dt = a(t,x) + b(t,x)u around the "
+            "origin, with exact rational arithmetic."
+        ),
+    )
+    p.add_argument("--input", required=True, help="system description file")
+    p.add_argument(
+        "--max-order",
+        type=int,
+        default=DEFAULT_MAX_ORDER,
+        help=f"cap on the series order N (default {DEFAULT_MAX_ORDER})",
+    )
+    p.add_argument(
+        "--mode",
+        choices=("both", "nonautonomous", "autonomous"),
+        default="both",
+        help="which approximating systems to report",
+    )
+    p.add_argument(
+        "--format",
+        choices=("text", "latex", "json"),
+        default="text",
+        help="report format",
+    )
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="run numerical cross-checks and include them in the report",
+    )
+    p.add_argument("--out", default=None, help="directory for the report file")
+    return p
+
+
+def read_both(parse, tokens):
+    """(exit code or the six option values, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(tokens)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    names = ("input", "max_order", "mode", "format", "verify", "out")
+    return {name: getattr(args, name) for name in names}, out.getvalue(), err.getvalue()
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["both", "nonautonomous", "autonomous", "text", "latex", "json"]),
+    st.integers(-20, 20).map(str),
+    st.sampled_from(["", "--", "stray", "-h", "--he"]),
+)
+# a value each option takes
+_SUITED = {
+    "--input": st.just("system.txt"),
+    "--max-order": st.integers(-3, 20).map(str),
+    "--mode": st.sampled_from(["both", "nonautonomous", "autonomous"]),
+    "--format": st.sampled_from(["text", "latex", "json"]),
+    "--verify": _VALUES,
+    "--out": st.sampled_from(["", "reports"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """Options named in full or by a prefix (down to "--i" or the ambiguous
+    "--m"), most with a value they take, as `--opt value` or `--opt=value`,
+    at times with any value, or only the name or the value; most lines
+    start with an --input."""
+    tokens = [] if _rarely(draw) else ["--input", "system.txt"]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(list(_SUITED)))
+        prefix = name[: draw(st.integers(3, len(name)))]
+        value = draw(_VALUES if _rarely(draw) else _SUITED[name])
+        if _rarely(draw):
+            tokens += draw(st.sampled_from([[prefix], [value], [f"{prefix}={value}"]]))
+        elif name == "--verify":
+            tokens.append(prefix)
+        else:
+            tokens += draw(st.sampled_from([[prefix, value], [f"{prefix}={value}"]]))
+    return tokens
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(tokens=command_lines())
+@example(tokens=["--input", "system.txt", "--m", "3"])
+@example(tokens=["--input", "system.txt", "--max-order", "-1"])
+@example(tokens=["--input", "system.txt", "--verify=x"])
+@example(tokens=["--input", "system.txt", "--out", ""])
+@example(tokens=["--verify", "--mode", "both"])
+@example(tokens=["-h", "--m"])
+@example(tokens=["--he", "--", "--m"])
+@example(tokens=["stray", "--bogus", "--he", "--mode", "sideways"])
+@example(tokens=["--inp=a", "--v", "--out=", "--inp", "b", "--form=json", "--max-o=4"])
+def test_option_reader_agrees_with_argparse_property(tokens):
+    expected, _, _ = read_both(reference_parser().parse_args, tokens)
+    got, out, err = read_both(cli.read_options, tokens)
+    assert got == expected
+    if got == EXIT_INPUT:
+        usage, error = err.split("\nhomapprox: error: ")
+        assert usage.startswith("usage: homapprox [-h] --input INPUT") and error.endswith("\n")
+    elif got == EXIT_OK:
+        assert out.startswith("usage: homapprox ") and "\n  --verify" in out
+
+
+def test_help_shows_usage_description_and_options(capsys):
+    for option in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as exc:
+            main([option])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: homapprox [-h] --input INPUT [--max-order MAX_ORDER]\n")
+        assert "around the origin, with exact rational arithmetic.\n\noptions:\n" in out
+        assert "cap on the series order N (default 13)\n" in out
+
+
+def test_cli_run_leaves_out_argparse_gettext_and_locale():
+    # every run is a cold start: argparse and gettext cost about 3 ms to
+    # import, and argparse's first message lookup imports locale for 1.3 ms
+    # more; loaded by a site hook before the snapshot, they do not count
+    code = (
+        "import sys; before = set(sys.modules); from homapprox import cli; "
+        "code = cli.main(['--input', sys.argv[1], '--format', 'json']); sys.stdout.flush(); "
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)), "
+        "file=sys.stderr)"
+    )
+    quot = Path(__file__).resolve().parent.parent / "perfbench" / "systems" / "quot.txt"
+    proc = subprocess.run([sys.executable, "-c", code, quot], capture_output=True, text=True)
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +354,21 @@ def test_main_missing_file(tmp_path, capsys):
     code = main(["--input", str(tmp_path / "absent.txt")])
     assert code == EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_main_rejects_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"n = 1\na1 = 0\nb1 = 1\xff\n")
+    with open(p) as f:  # in the default encoding, as main reads it
+        try:
+            f.read()
+        except UnicodeDecodeError:
+            pass
+        else:
+            pytest.skip("the default encoding decodes byte 0xff")
+    assert main(["--input", str(p)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {p}: ") and "can't decode byte 0xff" in err
 
 
 def test_main_syntax_error(tmp_path, capsys):
