@@ -2,13 +2,11 @@
 
 Reads a declarative system description, runs the approximation pipeline
 and writes a report.  `read_options` reads the command line from the
-`_OPTIONS` table as the standard library's option parser did, without
-the about 5 ms (Python 3.11, x86-64) that parser, its message catalogue
-and the locale module cost every cold run.  Exit codes: 0 success, 2
-input error or a report that --out or stdout cannot take, 3 system not
-accessible up to the order cap, 4 autonomous approximation requested but
-nonexistent (the report, including the witness, is still produced), 5
-internal error.
+`_OPTIONS` table, so a cold run pays for no argparse, gettext or locale.
+Exit codes: 0 success, 2 input error or a report that --out or stdout
+cannot take, 3 system not accessible up to the order cap, 4 autonomous
+approximation requested but nonexistent (the report, including the
+witness, is still produced), 5 internal error.
 Constants of any length go through `algebra.exact_number` and
 `exact_str`; Python's int-to-string digit limit is left as it is.
 """
@@ -44,10 +42,8 @@ _DESCRIPTION = (
     "Compute the homogeneous approximation of a single-input control-affine system\n"
     "dx/dt = a(t,x) + b(t,x)u around the origin, with exact rational arithmetic."
 )
-_USAGE = """usage: homapprox [-h] --input INPUT [--max-order MAX_ORDER]
-                 [--mode {both,nonautonomous,autonomous}]
-                 [--format {text,latex,json}] [--verify] [--out OUT]"""
-# option -> (what it takes: str, int, a tuple of choices or None for a flag; default; help)
+# option -> (what it takes: str, int, a tuple of choices or None for a flag; default;
+# help); --input is the one required option
 _OPTIONS = {
     "--help": (None, None, "show this help message and exit"),
     "--input": (str, None, "system description file"),
@@ -143,54 +139,66 @@ def run_verification(result: ap.ApproximationResult) -> dict:
     return {"order_check": oc, "shuffle_residual": shuffle_res}
 
 
+def _usage() -> str:
+    """The usage line, wrapped at 78 columns as argparse wrapped it."""
+    lines = ["usage: homapprox"]
+    for name, (takes, _, _) in _OPTIONS.items():
+        metavar = ("{" + ",".join(takes) + "}" if isinstance(takes, tuple)
+                   else takes and name[2:].upper().replace("-", "_"))
+        arg = f"{name} {metavar}" if metavar else "-h" if name == "--help" else name
+        part = arg if name == "--input" else f"[{arg}]"
+        if len(lines[-1]) + len(part) >= 78:
+            lines.append(" " * 16)
+        lines[-1] += " " + part
+    return "\n".join(lines)
+
+
 def _fail(message: str):
-    _sys.stderr.write(f"{_USAGE}\nhomapprox: error: {message}\n")
+    _sys.stderr.write(f"{_usage()}\nhomapprox: error: {message}\n")
     raise SystemExit(EXIT_INPUT)
 
 
-def _classify(token: str):
-    """(option, its attached value or None), ("", None) if unknown, or None for a value."""
+def _option(token: str):
+    """(the options `token` may name, none if it names an unknown one; its
+    attached value or None), or None if `token` is a value."""
     if token[:1] != "-" or token == "-" or re.match(r"-\d+$|-\d*\.\d+$", token):  # -1 is a value
         return None
-    if token[1] == "h":  # the one short option: -hX and -h=X attach X, -hh is -h twice
-        given = token[3:] if token[2:3] == "=" else token[2:] or None
-        return "--help", (given.lstrip("h") or None) if given else given
+    if token[1] == "h":  # the one short option; -hX, -h=X and -hh attach X or h to it
+        return ["--help"], token[2:].removeprefix("=") if token[2:] else None
     name, eq, given = token.partition("=")
-    prefixed = [o for o in _OPTIONS if o.startswith(name)] if token[1] == "-" else []
-    matches = [name] if name in _OPTIONS else prefixed
-    if len(matches) > 1:
-        _fail(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], given if eq else None
-    return None if " " in token else ("", None)
+    names = [name] if name in _OPTIONS else [o for o in _OPTIONS if o.startswith(name)]
+    return (names, given if eq else None) if names or " " not in token else None
 
 
 def read_options(argv=None) -> SimpleNamespace:
     """The options in `argv` (default sys.argv[1:]): `--opt value` or
-    `--opt=value`, a unique prefix for a name, the last occurrence winning.
-    A bad command line prints the usage and an error and exits 2."""
+    `--opt=value`, a unique prefix for a name, the last occurrence winning,
+    no option after "--".  Tokens are read left to right and each error is
+    reported when its token is reached, so `-h --m` prints the help.  A bad
+    command line prints the usage and an error and exits 2."""
     tokens = list(_sys.argv[1:] if argv is None else argv)
-    # no option after "--", and every token is classified before any is read
     end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_classify(token) for token in tokens[:end]]
     values = {name: default for name, (_, default, _) in _OPTIONS.items()}
     extras, i = [], 0
     while i < end:
-        name, given = kinds[i] or ("", None)
-        i += 1
-        if not name:
-            extras.append(tokens[i - 1])
+        token, i = tokens[i], i + 1
+        names, given = _option(token) or ([], None)
+        if not names:
+            extras.append(token)
             continue
+        if len(names) > 1:
+            _fail(f"ambiguous option: {token} could match {', '.join(names)}")
+        name = names[0]
         takes, label = _OPTIONS[name][0], "-h/--help" if name == "--help" else name
         if takes is None and given is not None:
             _fail(f"argument {label}: ignored explicit argument {given!r}")
         if name == "--help":
             rows = "".join(f"\n  {'-h, --help' if o == '--help' else o:14}{spec[2]}"
                            for o, spec in _OPTIONS.items())
-            print(f"{_USAGE}\n\n{_DESCRIPTION}\n\noptions:{rows}")
+            print(f"{_usage()}\n\n{_DESCRIPTION}\n\noptions:{rows}")
             raise SystemExit(EXIT_OK)
         if given is None and takes is not None:
-            if i == end or kinds[i] is not None:
+            if i == end or _option(tokens[i]) is not None:
                 _fail(f"argument {label}: expected one argument")
             given, i = tokens[i], i + 1
         if takes is int:

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homapprox import cli
@@ -242,7 +242,7 @@ def read_both(parse, tokens):
 _VALUES = st.one_of(
     st.sampled_from(["both", "nonautonomous", "autonomous", "text", "latex", "json"]),
     st.integers(-20, 20).map(str),
-    st.sampled_from(["", "--", "stray", "-h", "--he"]),
+    st.sampled_from(["", "--", "stray", "--bogus", "-h", "--he"]),
 )
 # a value each option takes
 _SUITED = {
@@ -275,6 +275,17 @@ def command_lines(draw):
     return tokens
 
 
+def read_alike_by_every_argparse(tokens) -> bool:
+    """False for the command lines that argparse reads differently by version.
+    Before Python 3.12 it rejects an ambiguous prefix before it reads a help
+    option ahead of it, and it reads `--opt=--` as an empty list."""
+    head = tokens[: tokens.index("--")] if "--" in tokens else tokens
+    helps = [i for i, t in enumerate(head) if t in ("-h", "--he", "--hel", "--help")]
+    ambiguous = [i for i, t in enumerate(head) if t.partition("=")[0] == "--m"]
+    help_first = bool(helps and ambiguous) and min(helps) < max(ambiguous)
+    return not help_first and not any(t.endswith("=--") for t in head)
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(tokens=command_lines())
 @example(tokens=["--input", "system.txt", "--m", "3"])
@@ -282,11 +293,13 @@ def command_lines(draw):
 @example(tokens=["--input", "system.txt", "--verify=x"])
 @example(tokens=["--input", "system.txt", "--out", ""])
 @example(tokens=["--verify", "--mode", "both"])
-@example(tokens=["-h", "--m"])
+@example(tokens=["--m", "-h"])
 @example(tokens=["--he", "--", "--m"])
+@example(tokens=["--input", "system.txt", "--"])
 @example(tokens=["stray", "--bogus", "--he", "--mode", "sideways"])
 @example(tokens=["--inp=a", "--v", "--out=", "--inp", "b", "--form=json", "--max-o=4"])
 def test_option_reader_agrees_with_argparse_property(tokens):
+    assume(read_alike_by_every_argparse(tokens))
     expected, _, _ = read_both(reference_parser().parse_args, tokens)
     got, out, err = read_both(cli.read_options, tokens)
     assert got == expected
@@ -295,6 +308,35 @@ def test_option_reader_agrees_with_argparse_property(tokens):
         assert usage.startswith("usage: homapprox [-h] --input INPUT") and error.endswith("\n")
     elif got == EXIT_OK:
         assert out.startswith("usage: homapprox ") and "\n  --verify" in out
+
+
+@pytest.mark.parametrize(
+    "tokens, code, message",
+    [
+        # each token is read when reached, as argparse does since Python 3.12
+        (["-h", "--m"], EXIT_OK, ""),
+        (["--m", "-h"], EXIT_INPUT, "ambiguous option: --m could match --max-order, --mode"),
+        # any value attached to -h is refused
+        (["-hX"], EXIT_INPUT, "argument -h/--help: ignored explicit argument 'X'"),
+        (["-h=X"], EXIT_INPUT, "argument -h/--help: ignored explicit argument 'X'"),
+        (["-hh"], EXIT_INPUT, "argument -h/--help: ignored explicit argument 'h'"),
+        (["--input", "a", "--"], EXIT_INPUT, "unrecognized arguments: --"),
+    ],
+)
+def test_option_reader_on_what_argparse_versions_read_differently(tokens, code, message):
+    got, out, err = read_both(cli.read_options, tokens)
+    assert got == code
+    assert err.endswith(f"homapprox: error: {message}\n" if message else "")
+    # "--" attached to an option is its value, as argparse reads it since Python 3.12
+    args = cli.read_options(["--input=--", "--out=--"])
+    assert (args.input, args.out) == ("--", "--")
+
+
+def test_usage_matches_argparse(monkeypatch):
+    # the usage is built from the option table, wrapped as argparse wraps it
+    # at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._usage() + "\n" == reference_parser().format_usage()
 
 
 def test_help_shows_usage_description_and_options(capsys):
