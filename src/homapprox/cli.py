@@ -2,7 +2,7 @@
 
 Reads a declarative system description, runs the approximation pipeline
 and writes a report.  `read_options` reads the command line from the
-`_OPTIONS` table, so a cold run pays for no argparse, gettext or locale.
+`_OPTIONS` table; a cold run loads no option parser, gettext or locale.
 Exit codes: 0 success, 2 input error or a report that --out or stdout
 cannot take, 3 system not accessible up to the order cap, 4 autonomous
 approximation requested but nonexistent (the report, including the
@@ -140,7 +140,7 @@ def run_verification(result: ap.ApproximationResult) -> dict:
 
 
 def _usage() -> str:
-    """The usage line, wrapped at 78 columns as argparse wrapped it."""
+    """The usage line, wrapped at 78 columns as the standard option parser wrapped it."""
     lines = ["usage: homapprox"]
     for name, (takes, _, _) in _OPTIONS.items():
         metavar = ("{" + ",".join(takes) + "}" if isinstance(takes, tuple)
