@@ -10,10 +10,10 @@ product and the derivation phi used by the autonomous construction.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
 
 Word = tuple  # tuple[int, ...]
 

@@ -23,13 +23,12 @@ where D_m holds the d's of order m.  Each order costs one null space of
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple
 
 from .algebra import (
     AlgElem,
-    Word,
     collect,
     exact_str,
     phi,
@@ -40,7 +39,7 @@ from .algebra import (
 )
 from .lie import build_lie_basis
 from .linalg import IntEchelon, scale_to_int, solve_particular, solve_square
-from .series import ControlSystem, SeriesComputer, SeriesTable, validate_equilibrium
+from .series import ControlSystem, SeriesComputer, validate_equilibrium
 
 DEFAULT_MAX_ORDER = 13
 
@@ -74,70 +73,59 @@ class InternalConsistencyError(Exception):
     """The construction violated one of its own guaranteed invariants."""
 
 
-class CoreElement(NamedTuple):
-    index: int  # 1-based position g_i in the Lie basis
-    word: Word
-    elem: AlgElem
-    order: int
-    vcoeff: tuple
+class CoreElement(namedtuple("CoreElement", "index word elem order vcoeff")):
+    # index: 1-based position g_i in the Lie basis
+    __slots__ = ()
 
 
-class IdealGenerator(NamedTuple):
-    elem: AlgElem
-    order: int
-    # combination over Lie basis indices, e.g. d = g_7 + 6 g_6
-    combo: tuple
+class IdealGenerator(namedtuple("IdealGenerator", "elem order combo")):
+    # combo: combination over Lie basis indices, e.g. d = g_7 + 6 g_6
+    __slots__ = ()
 
 
-class CoreDecomposition(NamedTuple):
-    n: int
-    ell: list
-    dees: list
+class CoreDecomposition(namedtuple("CoreDecomposition", "n ell dees")):
+    __slots__ = ()
 
     @property
     def weights(self) -> tuple:
         return tuple(l.order for l in self.ell)
 
 
-class IdealBlock(NamedTuple):
-    order: int
-    dim: int  # number of words of this order
-    complement: list  # AlgElem basis of the orthogonal complement of J here
+class IdealBlock(namedtuple("IdealBlock", "order dim complement")):
+    # dim: number of words of this order
+    # complement: AlgElem basis of the orthogonal complement of J here
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return self.dim - len(self.complement)
 
 
-class NoAutonomousApproximation(NamedTuple):
+class NoAutonomousApproximation(
+    namedtuple("NoAutonomousApproximation", "index kind witness order")
+):
     """Witness that the autonomous construction fails: the phi image of
     l~_i is not a shuffle polynomial in l~_1..l~_{i-1}."""
 
-    index: int  # 1-based i of the failing projected element
-    kind: str  # the failing map, always "phi"; the reports print it
-    witness: AlgElem
-    order: int
+    # index: 1-based i of the failing projected element
+    # kind: the failing map, always "phi"; the reports print it
+    __slots__ = ()
 
 
-class PolynomialSystem(NamedTuple):
+class PolynomialSystem(namedtuple("PolynomialSystem", "n weights a b")):
     """dx_i/dt = a_i(t,x) + b_i(t,x) u with polynomial components stored
     as {(t_power, (x1_power, ..., xn_power)): coefficient} maps."""
 
-    n: int
-    weights: tuple
-    a: list
-    b: list
+    __slots__ = ()
 
 
-class ApproximationResult(NamedTuple):
-    system: ControlSystem
-    N: int
-    table: SeriesTable
-    core: CoreDecomposition
-    blocks: dict
-    projected: list  # l~_i as AlgElem, same order as core.ell
-    nonautonomous: PolynomialSystem
-    autonomous: object  # PolynomialSystem | NoAutonomousApproximation
+_RESULT_FIELDS = "system N table core blocks projected nonautonomous autonomous"
+
+
+class ApproximationResult(namedtuple("ApproximationResult", _RESULT_FIELDS)):
+    # projected: l~_i as AlgElem, same order as core.ell
+    # autonomous: PolynomialSystem | NoAutonomousApproximation
+    __slots__ = ()
 
     @property
     def weights(self) -> tuple:

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input) as f:
             text = f.read()
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:  # also bad UTF-8 and a NUL in the path
         print(f"error: cannot read {args.input}: {err}", file=_sys.stderr)
         return EXIT_INPUT
 
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
             with open(os.path.join(args.out, f"report.{_EXTENSIONS[args.format]}"), "w") as f:
                 f.write(rendered + ("\n" if not rendered.endswith("\n") else ""))
-        except OSError as err:
+        except (OSError, ValueError) as err:  # ValueError: a NUL in the path
             print(f"error: --out: cannot write the report: {err}", file=_sys.stderr)
             return EXIT_INPUT
 

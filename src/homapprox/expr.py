@@ -11,8 +11,8 @@ float code in ``verify``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .algebra import exact_number, exact_str, scaled, signed_sum
 
@@ -298,7 +298,7 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # calculus and evaluation
 
-def differentiate(e: Expr, v: Union[Var, int]) -> Expr:
+def differentiate(e: Expr, v: Var | int) -> Expr:
     """Exact partial derivative with respect to t (index 0) or x_i."""
     idx = v.index if isinstance(v, Var) else int(v)
     return _diff(simplify(e), idx)

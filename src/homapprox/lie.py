@@ -8,18 +8,16 @@ process and kept in memory; nothing is read from or written to disk.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import AlgElem, Word, concat, enumerate_basis
 from .linalg import IntEchelon
 
 
-class LieBasisElement(NamedTuple):
-    word: Word
-    expansion: AlgElem
-    order: int
-    index: int  # 1-based position in the assembled basis
+class LieBasisElement(namedtuple("LieBasisElement", "word expansion order index")):
+    # index: 1-based position in the assembled basis
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -8,13 +8,14 @@ evaluated at t = 0, x = 0 and applied to the identity map E, where
 R_a f = f_t + f_x a and R_b f = f_x b.  The operators act on truncated
 Taylor jets at the origin (Griewank & Walther, Evaluating Derivatives,
 2nd ed. 2008), which keeps every coefficient exact: see SeriesComputer.
+The jets have int coefficients over one common denominator Q, so the
+stacks never divide: see JetSystem.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import expr as ex
 from .algebra import AlgElem, Word, enumerate_basis, exact_str, word_order, word_sort_key
@@ -76,11 +77,6 @@ def certify_drift(name: str, ai, n: int) -> None:
             )
 
 
-def _int_if_integral(c: Fraction):
-    # integer coefficients stay Python ints, which multiply much faster
-    return c.numerator if c.denominator == 1 else c
-
-
 def _nonzero(jet: dict) -> dict:
     return {k: c for k, c in jet.items() if c}
 
@@ -92,11 +88,19 @@ def _sub(f: dict, g: dict) -> dict:
     return _nonzero(out)
 
 
-def _series_coeffs(name: str, D: int) -> list:
-    """Taylor coefficients of sin, cos or exp at 0, up to degree D."""
+def _reduced(jet: dict, d: int) -> tuple:
+    """(jet, d) divided by the gcd of d and the coefficients, with d > 0."""
+    g = math.gcd(d, *jet.values())
+    g = -g if d < 0 else g
+    return ({k: c // g for k, c in jet.items()} if g != 1 else jet), d // g
+
+
+def _series_coeffs(name: str, D: int, q: int) -> list:
+    """Taylor coefficients of sin, cos or exp at 0 up to degree D, each
+    times D!*q^(D-k): the series of f(r/q), times D!*q^D, in powers of r."""
     out = []
     for k in range(D + 1):
-        c = Fraction(1, math.factorial(k))
+        c = math.factorial(D) // math.factorial(k) * q ** (D - k)
         if name == "exp":
             out.append(c)
         elif k % 2 != (name == "sin"):  # sin is odd, cos is even
@@ -110,16 +114,17 @@ class JetSystem:
     """A control system as Taylor jets at the origin, truncated at total
     degree D in (t, x1..xn); its components are Exprs or monomial maps.
 
-    A jet is a dict from packed monomials to nonzero rational
-    coefficients.  The monomial t^e0 x1^e1 ... xn^en of total degree d
-    packs into d*B^(n+1) + sum_i e_i*B^i with B = D + 1.  Monomials of
-    total degree <= D multiply by adding their keys, without carries;
-    keys sort by total degree first; and a product has degree > L
-    exactly when its key is >= (L + 1)*B^(n+1).
+    A jet is a dict from packed monomials to nonzero int coefficients.
+    The monomial t^e0 x1^e1 ... xn^en of total degree d packs into
+    d*B^(n+1) + sum_i e_i*B^i with B = D + 1.  Monomials of total degree
+    <= D multiply by adding their keys, without carries; keys sort by
+    total degree first; and a product has degree > L exactly when its
+    key is >= (L + 1)*B^(n+1).
 
-    R_a and R_b are the operators' coefficient vectors on (d_t, d_x1,
-    .., d_xn): (1, a_1, .., a_n) and (0, b_1, .., b_n), each a jet as a
-    sorted item list.
+    Q is the lcm of the denominators of the jets of a and b.  R_a and R_b
+    are Q times the operators' coefficient vectors on (d_t, d_x1, ..,
+    d_xn): Q*(1, a_1, .., a_n) and Q*(0, b_1, .., b_n), each a jet as a
+    sorted item list, so a stack of k operators is Q^k times the true one.
     """
 
     def __init__(self, sys, D: int):
@@ -127,12 +132,12 @@ class JetSystem:
         self._base = D + 1
         self._unit = tuple(self._base**i for i in range(sys.n + 1))
         self._degree_unit = self._base ** (sys.n + 1)
-        self.identity = tuple(self.expand(ex.Var(i)) for i in range(1, sys.n + 1))
-        self.R_a = ([(0, 1)],) + tuple(self._items(f) for f in sys.a)
-        self.R_b = ([],) + tuple(self._items(f) for f in sys.b)
-
-    def _items(self, e) -> list:
-        return sorted(self.expand(e).items())
+        self.identity = tuple(self.expand(ex.Var(i))[0] for i in range(1, sys.n + 1))
+        parts = [self.expand(f) for f in (*sys.a, *sys.b)]
+        self.Q = math.lcm(*(d for _, d in parts))
+        ops = [sorted((k, c * (self.Q // d)) for k, c in jet.items()) for jet, d in parts]
+        self.R_a = ([(0, self.Q)], *ops[: sys.n])
+        self.R_b = ([], *ops[sys.n :])
 
     def _limit(self, degree: int) -> int:
         # smallest key of total degree > degree
@@ -161,8 +166,9 @@ class JetSystem:
                 out[0] = c
         return out
 
-    def expand(self, e) -> dict:
-        """Jet of an expression or a monomial map, exact up to total degree D.
+    def expand(self, e) -> tuple:
+        """(J, d): the jet of an expression or a monomial map, exact up to
+        total degree D, is J/d, with d > 0 coprime to J's coefficients.
 
         Like `ex.eval_at_origin`, raises ex.DivisionByZeroError for a
         denominator that vanishes at the origin and
@@ -172,55 +178,60 @@ class JetSystem:
         if isinstance(e, dict):
             # a monomial map; each power of variable i adds B^i + B^(n+1) to the key
             step = [u + self._degree_unit for u in self._unit]
-            return {
-                sum(q * s for q, s in zip((t, *xs), step)): _int_if_integral(c)
+            d = math.lcm(*(Fraction(c).denominator for c in e.values()))
+            return _reduced({
+                sum(q * s for q, s in zip((t, *xs), step)): int(c * d)
                 for (t, xs), c in e.items()
                 if t + sum(xs) <= self.D
-            }
+            }, d)
         if isinstance(e, ex.Const):
-            c = _int_if_integral(e.value)
-            return {0: c} if c else {}
+            c = e.value
+            return ({0: c.numerator}, c.denominator) if c else ({}, 1)
         if isinstance(e, ex.Var):
-            return {self._degree_unit + self._unit[e.index]: 1} if self.D else {}
+            return ({self._degree_unit + self._unit[e.index]: 1} if self.D else {}), 1
         if isinstance(e, ex.Sum):
+            parts = [self.expand(term) for term in e.terms]
+            d = math.lcm(*(q for _, q in parts))
             out = {}
-            for term in e.terms:
-                for k, c in self.expand(term).items():
-                    out[k] = out.get(k, 0) + c
-            return _nonzero(out)
+            for jet, q in parts:
+                for k, c in jet.items():
+                    out[k] = out.get(k, 0) + c * (d // q)
+            return _reduced(_nonzero(out), d)
         if isinstance(e, ex.Prod):
-            out = {0: 1}
+            out, d = {0: 1}, 1
             for f in e.factors:
-                out = self._mul(out, self._items(f), self.D)
-            return out
+                jet, q = self.expand(f)
+                out, d = self._mul(out, sorted(jet.items()), self.D), d * q
+            return _reduced(out, d)
         if isinstance(e, ex.Pow):
             # square and multiply: about 2*log2(exponent) truncated products
-            out, square, k = {0: 1}, self.expand(e.base), e.exponent
+            (square, q), out, k = self.expand(e.base), {0: 1}, e.exponent
             while k:
                 if k & 1:
                     out = self._mul(out, sorted(square.items()), self.D)
                 k >>= 1
                 if k:
                     square = self._mul(square, sorted(square.items()), self.D)
-            return out
+            return _reduced(out, q**e.exponent)
         if isinstance(e, ex.Quot):
-            den = self.expand(e.den)
+            den, q = self.expand(e.den)
             d0 = den.get(0, 0)
             if d0 == 0:
                 raise ex.DivisionByZeroError("division by zero at the origin")
-            # 1/(d0 + r) = sum_k (-r)^k / d0^(k+1)
-            inverse = [Fraction(-1) ** k / d0 ** (k + 1) for k in range(self.D + 1)]
-            return self._mul(
-                self.expand(e.num), sorted(self._compose(den, inverse).items()), self.D
-            )
+            num, p = self.expand(e.num)
+            # q/(d0 + r) = q*sum_k (-r)^k d0^(D-k) / d0^(D+1)
+            inverse = [q * (-1) ** k * d0 ** (self.D - k) for k in range(self.D + 1)]
+            out = self._mul(num, sorted(self._compose(den, inverse).items()), self.D)
+            return _reduced(out, p * d0 ** (self.D + 1))
         if isinstance(e, ex.Func):
-            arg = self.expand(e.arg)
+            arg, q = self.expand(e.arg)
             a0 = arg.get(0, 0)
             if a0:
                 raise ex.NonzeroTranscendentalError(
-                    f"{e.name}({exact_str(a0)}) has no exact rational value"
+                    f"{e.name}({exact_str(Fraction(a0, q))}) has no exact rational value"
                 )
-            return self._compose(arg, _series_coeffs(e.name, self.D))
+            out = self._compose(arg, _series_coeffs(e.name, self.D, q))
+            return _reduced(out, math.factorial(self.D) * q**self.D)
         raise TypeError(f"not an Expr: {e!r}")
 
     def apply(self, op: tuple, fs, degree: int) -> tuple:
@@ -251,21 +262,19 @@ class JetSystem:
 
 
 def apply_R_a(jets: JetSystem, fs, degree: int) -> tuple:
-    """Componentwise f_t + f_x a, truncated at total degree `degree`."""
+    """Componentwise Q*(f_t + f_x a), truncated at total degree `degree`."""
     return jets.apply(jets.R_a, fs, degree)
 
 
 def apply_R_b(jets: JetSystem, fs, degree: int) -> tuple:
-    """Componentwise f_x b, truncated at total degree `degree`."""
+    """Componentwise Q*f_x b, truncated at total degree `degree`."""
     return jets.apply(jets.R_b, fs, degree)
 
 
-class SeriesTable(NamedTuple):
+class SeriesTable(namedtuple("SeriesTable", "n N coeffs")):
     """Moment coefficients v(w) for all words of order <= N (zeros omitted)."""
 
-    n: int
-    N: int
-    coeffs: dict
+    __slots__ = ()
 
     def v(self, w: Word) -> tuple:
         w = tuple(w)
@@ -346,12 +355,12 @@ class SeriesComputer:
                 if vec is None:
                     if jets is None:
                         jets = JetSystem(self.sys, N)
-                    denom = 1
+                    # the stack applied order(w) operators, each Q times R_a or R_b
+                    denom = (-1) ** len(w) * jets.Q ** word_order(w)
                     for k in w:
                         denom *= math.factorial(k)
-                    scale = Fraction((-1) ** len(w), denom)
                     stack = _stack(jets, memo, -1, w, 0)
-                    vec = self._vectors[w] = tuple(scale * f.get(0, 0) for f in stack)
+                    vec = self._vectors[w] = tuple(Fraction(f.get(0, 0), denom) for f in stack)
                 if any(c != 0 for c in vec):
                     coeffs[w] = vec
         return SeriesTable(self.sys.n, N, coeffs)

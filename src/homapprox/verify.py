@@ -20,10 +20,9 @@ the textbook loop (see compile_backward).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import expr as ex
 from .algebra import Word, enumerate_basis, word_order, word_sort_key, _shuffle_words
@@ -54,8 +53,8 @@ def _stage(name: str, errors=ArithmeticError):
         raise VerificationError(f"{reason} in {name}") from err
 
 
-class PiecewiseConstantControl(NamedTuple):
-    values: tuple
+class PiecewiseConstantControl(namedtuple("PiecewiseConstantControl", "values")):
+    __slots__ = ()
 
     def describe(self) -> str:
         return "piecewise-constant " + str(list(self.values))
@@ -309,17 +308,13 @@ def fit_slope(residuals):
     return sxy / sxx
 
 
-class ControlCheck(NamedTuple):
-    control: PiecewiseConstantControl
-    thetas: tuple
-    residuals: tuple
-    slope: object  # float | None when all residuals sit at the noise floor
+class ControlCheck(namedtuple("ControlCheck", "control thetas residuals slope")):
+    # slope: float | None when all residuals sit at the noise floor
+    __slots__ = ()
 
 
-class OrderCheckResult(NamedTuple):
-    N: int
-    checks: list
-    required_slope: float
+class OrderCheckResult(namedtuple("OrderCheckResult", "N checks required_slope")):
+    __slots__ = ()
 
 
 def order_check(

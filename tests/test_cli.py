@@ -413,6 +413,21 @@ def test_main_rejects_an_input_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {p}: ") and "can't decode byte 0xff" in err
 
 
+def test_main_rejects_an_input_path_with_a_nul_byte(capsys):
+    # no shell passes a NUL in argv, but a library caller of main can
+    assert main(["--input", "a\x00b"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: cannot read a\x00b: embedded null byte\n"
+
+
+def test_main_rejects_an_out_path_with_a_nul_byte(ex1_file, capsys):
+    code = main(["--input", str(ex1_file), "--out", "a\x00b"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    # the report is printed before --out is written
+    assert captured.out.startswith("Homogeneous approximation report")
+    assert captured.err == "error: --out: cannot write the report: embedded null byte\n"
+
+
 def test_main_syntax_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("n = 1\na1 = 0\nb1 = 2 x1\n")
@@ -754,6 +769,21 @@ def test_cli_import_leaves_out_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_leaves_out_typing():
+    # typing costs 5-6 ms of a cold start; under -S no site hook loads it
+    # before homapprox does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, homapprox.cli; print('typing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,26 +53,48 @@ def test_render_mentions_every_state(sys3):
 
 
 # ---------------------------------------------------------------------------
-# the operators R_a and R_b
+# the operators R_a and R_b, which the jets hold times their common denominator Q
+
+def q_times(jets, text, n):
+    """Q times the jet of `text`, exactly."""
+    jet, d = jets.expand(ex.parse_expr(text, n))
+    return {k: F(c * jets.Q, d) for k, c in jet.items()}
+
 
 def test_operators_on_simple_functions(sys_scalar):
     # a = 0, b = 1: R_a only differentiates in t, R_b is d/dx1
     jets = JetSystem(sys_scalar, 3)
-    f = (jets.expand(ex.parse_expr("t^2*x1", 1)),)
+    f = (jets.expand(ex.parse_expr("t^2*x1", 1))[0],)
     ra = apply_R_a(jets, f, 2)
-    assert ra[0] == jets.expand(ex.parse_expr("2*t*x1", 1))
+    assert (ra[0], jets.Q) == jets.expand(ex.parse_expr("2*t*x1", 1))
     rb = apply_R_b(jets, f, 2)
-    assert rb[0] == jets.expand(ex.parse_expr("t^2", 1))
+    assert (rb[0], jets.Q) == jets.expand(ex.parse_expr("t^2", 1))
 
 
 def test_operators_use_drift(sys3):
     # R_a x3 = (x3)_t + (x3)_x a = a3, here up to total degree 4
     jets = JetSystem(sys3, 4)
-    f = (jets.expand(ex.Var(3)),)
+    f = (jets.expand(ex.Var(3))[0],)
     ra = apply_R_a(jets, f, 4)
-    assert ra[0] == jets.expand(ex.parse_expr("2*x1^2*sin(t)", 3))
+    assert ra[0] == q_times(jets, "2*x1^2*sin(t)", 3)
     rb = apply_R_b(jets, f, 4)
-    assert rb[0] == jets.expand(ex.parse_expr("-x2", 3))
+    assert rb[0] == q_times(jets, "-x2", 3)
+
+
+def test_jets_are_integers_over_one_denominator(sys3):
+    # -sin(x1)^2 and -cos(x1) up to degree 4 bring 1/3, 1/2 and 1/24: Q = 24
+    jets = JetSystem(sys3, 4)
+    assert jets.Q == 24
+    for op in (jets.R_a, jets.R_b):
+        assert all(type(c) is int for items in op for _, c in items)
+    for text in ["x1/3 + t^2/6", "cos(x1/2)/(4 - x2)", "exp(t)*sin(x3)", "2*x1 - 4*x2"]:
+        jet, d = jets.expand(ex.parse_expr(text, 3))
+        assert d > 0 and math.gcd(d, *jet.values()) == 1, text
+        assert all(type(c) is int for c in jet.values()), text
+    # integer polynomial systems keep the unscaled operators
+    for name in ["deep11", "chain4", "deep7"]:
+        psys = parse_system_file((SYSTEMS / f"{name}.txt").read_text())
+        assert JetSystem(psys, 6).Q == 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +207,7 @@ def test_monomial_map_jet_drops_monomials_above_its_degree():
     comp = {(0, (0, 0)): 3, (1, (1, 0)): F(1, 2), (0, (0, 2)): -2, (2, (1, 0)): 5}
     want = jets.expand(ex.simplify(ex.parse_expr("3 + t*x1/2 - 2*x2^2", 2)))
     assert jets.expand(comp) == want
-    assert len(want) == 3
+    assert len(want[0]) == 3 and want[1] == 2
 
 
 @pytest.mark.parametrize("name", ["sys3", "sys3_drift", "mixed4", "deep7"])

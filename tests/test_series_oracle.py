@@ -78,6 +78,13 @@ SYSTEMS = {
         ["cos(t)", "x1", "t*x1", "1/(1+x2)"],
     ),
     "quot": (2, ["0", "x1/(1-x2)"], ["exp(t)", "cos(x1)"]),
+    # a quotient whose constant term is not +-1, and fractions inside sin/cos/exp
+    "quot_offset": (2, ["0", "x1^2*cos(t)/(2 - x2)"], ["exp(t/3)", "0"]),
+    "fraction_args": (
+        3,
+        ["0", "x1^2*exp(t/2)", "x2*cos(x1/3)/(2 - x3)"],
+        ["1/(3 + t)", "0", "0"],
+    ),
 }
 
 
