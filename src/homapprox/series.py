@@ -204,15 +204,16 @@ class JetSystem:
                 out, d = self._mul(out, sorted(jet.items()), self.D), d * q
             return _reduced(out, d)
         if isinstance(e, ex.Pow):
-            # square and multiply: about 2*log2(exponent) truncated products
-            (square, q), out, k = self.expand(e.base), {0: 1}, e.exponent
+            # square and multiply: about 2*log2(exponent) truncated products,
+            # each reduced, so a square truncated to 0 drops its denominator
+            (square, q), (out, d), k = self.expand(e.base), ({0: 1}, 1), e.exponent
             while k:
                 if k & 1:
-                    out = self._mul(out, sorted(square.items()), self.D)
+                    out, d = _reduced(self._mul(out, sorted(square.items()), self.D), d * q)
                 k >>= 1
                 if k:
-                    square = self._mul(square, sorted(square.items()), self.D)
-            return _reduced(out, q**e.exponent)
+                    square, q = _reduced(self._mul(square, sorted(square.items()), self.D), q * q)
+            return out, d
         if isinstance(e, ex.Quot):
             den, q = self.expand(e.den)
             d0 = den.get(0, 0)

@@ -428,6 +428,17 @@ def test_main_rejects_an_out_path_with_a_nul_byte(ex1_file, capsys):
     assert captured.err == "error: --out: cannot write the report: embedded null byte\n"
 
 
+def test_power_that_truncates_to_zero_reports_as_if_absent(tmp_path, capsys):
+    # (x1/3 + t)^(10^12) has no term below degree 10^12, so b1 is 1 on every jet
+    reports = []
+    for b1 in ["1 + (x1/3 + t)^1000000000000", "1"]:
+        p = tmp_path / "sys.txt"
+        p.write_text(f"n = 1\na1 = 0\nb1 = {b1}\n")
+        assert main(["--input", str(p), "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_main_syntax_error(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("n = 1\na1 = 0\nb1 = 2 x1\n")

@@ -194,12 +194,23 @@ def test_jets_reject_components_undefined_at_origin(b1, error):
         SeriesComputer(sys).table_up_to(2)
 
 
-@pytest.mark.parametrize("base", ["x1", "1 + x1 - t*x2", "2 - sin(x2)", "t + x1*x2"])
+@pytest.mark.parametrize(
+    "base", ["x1", "1 + x1 - t*x2", "2 - sin(x2)", "t + x1*x2", "x1/3 + t/2", "1/2 - sin(x2)"]
+)
 def test_power_jet_matches_repeated_product(base):
     b = ex.simplify(ex.parse_expr(base, 2))
     jets = JetSystem(system_from_strings(2, ["0", "0"], ["1", "0"]), 6)
     for k in range(13):
         assert jets.expand(ex.Pow(b, k)) == jets.expand(ex.Prod((b,) * k)), k
+
+
+@pytest.mark.parametrize("base", ["x1/3 + t", "sin(x2)"])
+def test_power_jet_with_a_huge_exponent_is_zero(base):
+    # below degree 10^12 the power vanishes; the denominator of the untruncated
+    # power, 3^(10^12) or 120^(10^12), must never be formed
+    b = ex.simplify(ex.parse_expr(base, 2))
+    jets = JetSystem(system_from_strings(2, ["0", "0"], ["1", "0"]), 6)
+    assert jets.expand(ex.Pow(b, 10**12)) == ({}, 1)
 
 
 def test_monomial_map_jet_drops_monomials_above_its_degree():
