@@ -6,11 +6,11 @@ rational combinations of words, stored sparsely; every operation
 that can cancel terms builds its result through `collect`, which sums
 the coefficients of equal words and drops the zeros once, at the end.
 Besides the concatenation product the module provides the shuffle
-product and the derivation phi used by the autonomous construction.
+product, the derivation phi used by the autonomous construction and the
+one enumerator of exponent tuples: words, shuffle monomials, codimensions.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -27,27 +27,26 @@ def word_sort_key(w: Word):
     return (word_order(w), len(w), w)
 
 
+def weighted_multi_indices(weights, degree: int) -> list:
+    """All exponent tuples q >= 0 with sum q_j * weights_j = degree,
+    lexicographically ascending."""
+    out = [((), degree)]  # (leading exponents, degree left for the rest)
+    for w in weights:
+        out = [(q + (k,), r - k * w) for q, r in out for k in range(r // w + 1)]
+    return [q for q, r in out if r == 0]
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(m: int) -> tuple:
-    """All words of order m, length-ascending then lexicographic."""
+    """All words of order m, length-ascending then lexicographic: for each
+    length k, the words (m1, ..., mk) with m1 + ... + mk = m - k."""
     if m < 1:
         raise ValueError("order must be >= 1")
-    words = []
-    for k in range(1, m + 1):
-        words.extend(_compositions(m - k, k))
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
-def _compositions(total: int, k: int) -> tuple:
-    """Weak compositions of total into k parts, lexicographic."""
-    if k == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(
+        chain.from_iterable(
+            weighted_multi_indices((1,) * k, m - k) for k in range(1, m + 1)
+        )
+    )
 
 
 def signed_sum(terms: list) -> str:
@@ -115,14 +114,8 @@ class AlgElem:
     def scalar(cls, c) -> "AlgElem":
         return cls({(): Fraction(c)})
 
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(tuple(w), Fraction(0))
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def items(self) -> Iterator:
-        return iter(self.terms.items())
 
     def sorted_items(self) -> list:
         return sorted(self.terms.items(), key=lambda p: word_sort_key(p[0]))
@@ -148,13 +141,6 @@ class AlgElem:
     def __rmul__(self, c) -> "AlgElem":
         if isinstance(c, (int, Fraction)):
             return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other) -> "AlgElem":
-        if isinstance(other, AlgElem):
-            return concat(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:

@@ -34,6 +34,7 @@ from .algebra import (
     phi,
     shuffle,
     shuffle_power,
+    weighted_multi_indices,
     word_order,
     word_sort_key,
 )
@@ -242,24 +243,6 @@ def project_core(core: CoreDecomposition, blocks: dict) -> list:
 
 # ---------------------------------------------------------------------------
 # shuffle polynomial representation
-
-def weighted_multi_indices(weights, degree: int) -> list:
-    """All exponent tuples q >= 0 with sum q_j * weights_j = degree,
-    lexicographically ascending."""
-    out = []
-
-    def rec(pos, remaining, prefix):
-        if pos == len(weights):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        w = weights[pos]
-        for q in range(remaining // w + 1):
-            rec(pos + 1, remaining - q * w, prefix + [q])
-
-    rec(0, degree, [])
-    return out
-
 
 def express_as_shuffle_poly(
     target: AlgElem, generators: list, weights, degree: int

@@ -79,9 +79,6 @@ class Expr:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return type(self), self._values()
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
         return f"{type(self).__name__}({fields})"

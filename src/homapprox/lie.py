@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import groupby
 
 from .algebra import AlgElem, Word, concat, enumerate_basis
 from .linalg import IntEchelon
@@ -69,22 +70,19 @@ def witt_dimension(m: int) -> int:
 def _kept_words(m: int) -> tuple:
     """The words of order m, in canonical order, whose right-normed
     expansions are independent of those of the words kept before them.
-    Expansions of different lengths share no word, so each length is
-    reduced in its own block."""
-    blocks: dict = {}  # length -> {word of that length: column}
-    for w in enumerate_basis(m):
-        block = blocks.setdefault(len(w), {})
-        block[w] = len(block)
-    echelons = {k: IntEchelon(len(block)) for k, block in blocks.items()}
+    Expansions of different lengths share no word, so each length block
+    of `enumerate_basis(m)` is reduced on its own, over its own columns."""
     kept = []
-    for w in enumerate_basis(m):
-        index = blocks[len(w)]
-        vec = [0] * len(index)
-        for word, c in expand_right_normed(w).terms.items():
-            assert c.denominator == 1
-            vec[index[word]] = c.numerator
-        if echelons[len(w)].add(vec):
-            kept.append(w)
+    for _, block in groupby(enumerate_basis(m), len):
+        index = {w: j for j, w in enumerate(block)}  # word -> column
+        echelon = IntEchelon(len(index))
+        for w in index:
+            vec = [0] * len(index)
+            for word, c in expand_right_normed(w).terms.items():
+                assert c.denominator == 1
+                vec[index[word]] = c.numerator
+            if echelon.add(vec):
+                kept.append(w)
     expected = witt_dimension(m)
     if len(kept) != expected:
         raise AssertionError(

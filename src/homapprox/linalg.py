@@ -50,10 +50,6 @@ class IntEchelon:
         self.width = width
         self.rows: dict[int, list] = {}  # pivot column -> row
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def pivot_columns(self) -> list:
         return sorted(self.rows)
 

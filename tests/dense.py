@@ -5,8 +5,14 @@ occur: a reference that must give the same answers."""
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from homapprox.algebra import AlgElem, enumerate_basis, shuffle, shuffle_power
-from homapprox.approx import NotRepresentableError, weighted_multi_indices
+from homapprox.algebra import (
+    AlgElem,
+    enumerate_basis,
+    shuffle,
+    shuffle_power,
+    weighted_multi_indices,
+)
+from homapprox.approx import NotRepresentableError
 from homapprox.linalg import solve_particular
 
 
@@ -35,7 +41,7 @@ def dense_shuffle_poly(target: AlgElem, generators: list, weights, degree: int) 
         # only constants live in degree 0
         if any(w != () for w in target.terms):
             raise NotRepresentableError(target, 0)
-        c = target.coeff(())
+        c = target.terms.get((), 0)
         return {(0,) * len(weights): c} if c != 0 else {}
     qs = weighted_multi_indices(weights, degree)
     if not qs:

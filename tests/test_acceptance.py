@@ -241,4 +241,4 @@ def test_criterion_9_performance_envelope(sys_deep):
         out = reparsed(res.nonautonomous)
         table = SeriesComputer(out).table_up_to(max(res.weights))
         for w in enumerate_basis(1):
-            assert table.v(w)[0] == res.projected[0].coeff(w)
+            assert table.v(w)[0] == res.projected[0].terms.get(w, 0)

@@ -43,7 +43,10 @@ def oracle_projection(dees, elem: AlgElem, m: int) -> AlgElem:
     else:
         kernel = sympy.eye(len(words))
     target = sympy.Matrix(
-        [sympy.Rational(c.numerator, c.denominator) for c in map(elem.coeff, words)]
+        [
+            sympy.Rational(c.numerator, c.denominator)
+            for c in (elem.terms.get(w, 0) for w in words)
+        ]
     )
     beta = (kernel.T * kernel).LUsolve(kernel.T * target)
     proj = kernel * beta

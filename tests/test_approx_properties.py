@@ -3,21 +3,28 @@ systems: the output's own series reproduces the projections, the
 non-autonomous approximation is a fixed point of `approximate`, the
 dense graded blocks of the ideal have the codimension the theory gives,
 the autonomous system equals the one of the old psi route, the shuffle
-polynomial solves agree with a dense reference, and scaling the control
-changes only what the theory says it scales."""
+polynomial solves agree with a dense reference, scaling the control
+changes only what the theory says it scales, and a polynomial change of
+coordinates changes nothing."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from homapprox.algebra import AlgElem, concat, enumerate_basis, phi
+from homapprox.algebra import (
+    AlgElem,
+    concat,
+    enumerate_basis,
+    phi,
+    weighted_multi_indices,
+)
 from homapprox.approx import (
     NotAccessibleError,
     NotRepresentableError,
     approximate,
     check_self_consistency,
     express_as_shuffle_poly,
-    weighted_multi_indices,
 )
 from homapprox.series import system_from_strings
 from dense import dense_shuffle_poly, vectorize
@@ -43,9 +50,9 @@ def components(n, need_state):
 
 
 @st.composite
-def system_strings(draw):
+def system_strings(draw, min_n=1):
     """(n, a, b, max_order) with the components as strings."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(min_n, 3))
     a = [draw(components(n, True)) for _ in range(n)]
     b = [draw(components(n, False)) for _ in range(n)]
     return n, a, b, draw(st.integers(n, 6))
@@ -182,3 +189,69 @@ def _assert_same_structure(base, scaled, c):
         assert scaled.autonomous.index == base.autonomous.index
     for got, want in outputs:
         assert [comp.keys() for comp in got.b] == [comp.keys() for comp in want.b]
+
+
+@st.composite
+def coordinate_changes(draw):
+    """(n, a, b, max_order) with n >= 2 and (A, h) for y = A(x + h(x)): A
+    unit lower-triangular over the integers, h_i a quadratic form in
+    x_1..x_{i-1}, so the inverse map is polynomial too."""
+    n, a, b, max_order = draw(system_strings(min_n=2))
+    A = [
+        [int(i == j) if j >= i else draw(st.integers(-2, 2)) for j in range(n)]
+        for i in range(n)
+    ]
+    # h_i: up to two terms c*x_j*x_k with j, k < i
+    terms = [
+        st.tuples(st.sampled_from([-1, 1]), st.integers(0, i - 1), st.integers(0, i - 1))
+        for i in range(1, n)
+    ]
+    h = [[]] + [draw(st.lists(term, max_size=2)) for term in terms]
+    return (n, a, b, max_order), (A, h)
+
+
+def _changed_strings(n, a, b, A, h):
+    """The system in the coordinates y = A(x + h(x)), named x_i again."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{n + 1}")
+    names = {"t": sympy.Symbol("t"), **{str(x): x for x in xs}}
+    hx = [sum((c * xs[j] * xs[k] for c, j, k in hi), sympy.Integer(0)) for hi in h]
+    y = sympy.Matrix(A) * sympy.Matrix([x + hi for x, hi in zip(xs, hx)])
+    z = sympy.Matrix(A).inv() * sympy.Matrix(xs)
+    old = []  # x in terms of y, by forward substitution
+    for i in range(n):
+        old.append(sympy.expand(z[i] - hx[i].subs(dict(zip(xs, old)), simultaneous=True)))
+    back = dict(zip(xs, old))
+    jac = y.jacobian(xs).subs(back, simultaneous=True)
+
+    def pushed(field):
+        f = sympy.Matrix([sympy.sympify(s.replace("^", "**"), locals=names) for s in field])
+        g = jac * f.subs(back, simultaneous=True)
+        return [str(sympy.expand(e)).replace("**", "^") for e in g]
+
+    return pushed(a), pushed(b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(coordinate_changes())
+def test_coordinate_change_keeps_the_approximation(case):
+    # y(t) = A(x(t) + h(x(t))) gives v_y(w) = A v_x(w) plus shuffles of
+    # nonempty words, which vanish on Lie elements: the v-image of every
+    # Lie element is only multiplied by the invertible A, which keeps each
+    # independence and each solved combination
+    (n, a, b, max_order), (A, h) = case
+    try:
+        base = approximate(system_from_strings(n, a, b), max_order)
+    except NotAccessibleError:
+        assume(False)
+    changed = system_from_strings(n, *_changed_strings(n, a, b, A, h))
+    moved = approximate(changed, max_order)
+    assert moved.N == base.N
+    assert moved.weights == base.weights
+    assert [l.word for l in moved.core.ell] == [l.word for l in base.core.ell]
+    assert [(d.elem, d.combo) for d in moved.core.dees] == [
+        (d.elem, d.combo) for d in base.core.dees
+    ]
+    assert moved.projected == base.projected
+    assert moved.nonautonomous == base.nonautonomous
+    assert moved.autonomous == base.autonomous

@@ -33,11 +33,11 @@ def test_echelon_rank_and_membership():
     assert ech.add([1, 2, 3])
     assert not ech.add([2, 4, 6])
     assert ech.add([0, 1, 1])
-    assert ech.rank == 2
+    assert len(ech.rows) == 2
     assert not any(ech.reduce([1, 3, 4]))  # sum of the two
     assert any(ech.reduce([0, 0, 1]))
     assert ech.add([0, 0, 1])
-    assert ech.rank == 3
+    assert len(ech.rows) == 3
     assert not any(ech.reduce([5, -7, 11]))
 
 
@@ -113,7 +113,7 @@ def test_nullspace_annihilates_rows():
             if ech.add(vec):
                 stored.append(vec)
         kernel = ech.nullspace_basis()
-        assert len(kernel) == width - ech.rank
+        assert len(kernel) == width - len(ech.rows)
         for z in kernel:
             assert primitive(z) == z
             for row in stored:
