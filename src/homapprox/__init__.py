@@ -19,7 +19,6 @@ from .algebra import (
     enumerate_basis,
     phi,
     shuffle,
-    shuffle_power,
     word_order,
 )
 from .approx import (
@@ -29,6 +28,7 @@ from .approx import (
     NotAccessibleError,
     NotRepresentableError,
     PolynomialSystem,
+    ShuffleMonomials,
     approximate,
     build_ideal_blocks,
     build_autonomous,

@@ -31,8 +31,10 @@ def weighted_multi_indices(weights, degree: int) -> list:
     """All exponent tuples q >= 0 with sum q_j * weights_j = degree,
     lexicographically ascending."""
     out = [((), degree)]  # (leading exponents, degree left for the rest)
-    for w in weights:
+    for w in weights[:-1]:
         out = [(q + (k,), r - k * w) for q, r in out for k in range(r // w + 1)]
+    if weights:  # the last exponent takes the degree left, where it divides
+        out = [(q + (r // weights[-1],), 0) for q, r in out if r % weights[-1] == 0]
     return [q for q, r in out if r == 0]
 
 
@@ -216,16 +218,6 @@ def shuffle(e1: AlgElem, e2: AlgElem) -> AlgElem:
                     yield w, c * mult
 
     return collect(pairs())
-
-
-def shuffle_power(e: AlgElem, q: int) -> AlgElem:
-    """q-fold shuffle power; the 0th power is the scalar 1."""
-    if q < 0:
-        raise ValueError("shuffle powers need q >= 0")
-    acc = AlgElem.scalar(1)
-    for _ in range(q):
-        acc = shuffle(acc, e)
-    return acc
 
 
 def phi(e: AlgElem) -> AlgElem:

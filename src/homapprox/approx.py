@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 
 from .algebra import (
     AlgElem,
@@ -33,7 +32,6 @@ from .algebra import (
     exact_str,
     phi,
     shuffle,
-    shuffle_power,
     weighted_multi_indices,
     word_order,
     word_sort_key,
@@ -244,22 +242,37 @@ def project_core(core: CoreDecomposition, blocks: dict) -> list:
 # ---------------------------------------------------------------------------
 # shuffle polynomial representation
 
+class ShuffleMonomials(dict):
+    """Shuffle monomials prod_k generators[k]^{sh q_k} by exponent tuple q,
+    each made on first use: as q without a trailing zero, else as q - e_k
+    shuffled with generators[k], k the last position.  So one table serves
+    every prefix of the generators."""
+
+    def __init__(self, generators: list):
+        super().__init__({(): AlgElem.scalar(1)})
+        self.generators = generators
+
+    def __missing__(self, q: tuple) -> AlgElem:
+        *head, k = q
+        self[q] = m = (
+            shuffle(self[(*head, k - 1)], self.generators[len(head)]) if k else self[tuple(head)]
+        )
+        return m
+
+
 def express_as_shuffle_poly(
-    target: AlgElem, generators: list, weights, degree: int
+    target: AlgElem, monomials: ShuffleMonomials, weights, degree: int
 ) -> dict:
-    """Write a homogeneous element of the given order as a shuffle
-    polynomial {q: c} in the generators (q of weighted degree = order), or
-    raise NotRepresentableError.  Dependent monomials get zero coefficients.
-    Only the words of the target and the monomials give rows: zero rows and
-    the row order change no echelon form, so no solution either."""
+    """Write a homogeneous element of the given order as a shuffle polynomial
+    {q: c} in the first len(weights) generators of `monomials` (q of weighted
+    degree = order), or raise NotRepresentableError.  Dependent monomials get
+    zero coefficients.  Only the words of the target and the monomials give
+    rows: zero rows and the row order change neither echelon form nor solution."""
     qs = weighted_multi_indices(weights, degree)
-    monomials = [
-        reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1)).terms
-        for q in qs
-    ]
-    words = set(target.terms).union(*monomials)
+    terms = [monomials[q].terms for q in qs]
+    words = set(target.terms).union(*terms)
     sol = solve_particular(
-        [[m.get(w, 0) for w in words] for m in monomials],
+        [[m.get(w, 0) for w in words] for m in terms],
         [target.terms.get(w, 0) for w in words],
     )
     if sol is None:
@@ -285,6 +298,7 @@ def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialS
     empty prefix, so y_{w_i - 1} is a constant, of degree 0."""
     n = core.n
     weights = core.weights
+    monomials = ShuffleMonomials(projected)
     b = []
     for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
         tails: dict = {}
@@ -293,7 +307,7 @@ def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialS
         comp: dict = {}
         for j in sorted(tails):
             poly = express_as_shuffle_poly(
-                AlgElem(tails[j]), projected[:i], weights[:i], w_i - j - 1
+                AlgElem(tails[j]), monomials, weights[:i], w_i - j - 1
             )
             for q, c in poly.items():
                 comp[(j, _pad_exponents(q, n))] = -c
@@ -311,11 +325,12 @@ def build_autonomous(
     is not representable."""
     n = core.n
     weights = core.weights
+    monomials = ShuffleMonomials(projected)
     a = []
     for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
         image = phi(ltilde)
         try:
-            poly = express_as_shuffle_poly(image, projected[:i], weights[:i], w_i - 1)
+            poly = express_as_shuffle_poly(image, monomials, weights[:i], w_i - 1)
         except NotRepresentableError:
             return NoAutonomousApproximation(i + 1, "phi", image, w_i - 1)
         a.append({(0, _pad_exponents(q, n)): -c for q, c in poly.items()})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import random
-import re
 import sys as _sys
 from types import SimpleNamespace
 
@@ -161,7 +160,10 @@ def _fail(message: str):
 def _option(token: str):
     """(the options `token` may name, none if it names an unknown one; its
     attached value or None), or None if `token` is a value."""
-    if token[:1] != "-" or token == "-" or re.match(r"-\d+$|-\d*\.\d+$", token):  # -1 is a value
+    # -1, -.5 and -1.5 are values, as for argparse also with one final "\n"
+    head, point, tail = token[1:].removesuffix("\n").partition(".")
+    number = (head.isdecimal() or point and not head) and (tail.isdecimal() or not point)
+    if token[:1] != "-" or token == "-" or number:
         return None
     if token[1] == "h":  # the one short option; -hX, -h=X and -hh attach X or h to it
         return ["--help"], token[2:].removeprefix("=") if token[2:] else None

@@ -88,7 +88,10 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)  # a Fraction
+    __slots__ = ("value",)  # an int when integral, else a Fraction
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value.numerator if value.denominator == 1 else value)
 
 
 class Var(Expr):
@@ -118,8 +121,9 @@ class Func(Expr):
 
 FUNCTIONS = ("sin", "cos", "exp")
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 T = Var(0)
 
 
@@ -147,7 +151,7 @@ def _key(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # smart constructors; arguments are assumed already simplified
 
-def _split_coeff(e: Expr) -> tuple[Fraction, Expr | None]:
+def _split_coeff(e: Expr) -> tuple[int | Fraction, Expr | None]:
     """Split a simplified term into (rational coefficient, core)."""
     if isinstance(e, Const):
         return e.value, None
@@ -155,10 +159,10 @@ def _split_coeff(e: Expr) -> tuple[Fraction, Expr | None]:
         rest = e.factors[1:]
         core = rest[0] if len(rest) == 1 else Prod(rest)
         return e.factors[0].value, core
-    return Fraction(1), e
+    return 1, e
 
 
-def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
+def _with_coeff(coeff: int | Fraction, core: Expr) -> Expr:
     if coeff == 0:
         return ZERO
     if coeff == 1:
@@ -169,8 +173,8 @@ def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
 
 
 def mk_sum(terms: Iterable[Expr]) -> Expr:
-    const_acc = Fraction(0)
-    cores: dict[Expr, Fraction] = {}  # like terms merge on the node itself
+    const_acc = 0
+    cores: dict[Expr, int | Fraction] = {}  # like terms merge on the node itself
     for term in terms:
         for t in term.terms if isinstance(term, Sum) else (term,):
             coeff, core = _split_coeff(t)
@@ -190,7 +194,7 @@ def mk_sum(terms: Iterable[Expr]) -> Expr:
 
 
 def mk_prod(factors: Iterable[Expr]) -> Expr:
-    coeff = Fraction(1)
+    coeff = 1
     bases: dict[Expr, int] = {}  # repeated factors merge on the node itself
     for f in factors:
         for p in f.factors if isinstance(f, Prod) else (f,):
@@ -235,7 +239,7 @@ def mk_pow(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def _const_pow(c: Fraction, k: int) -> Fraction:
+def _const_pow(c: int | Fraction, k: int) -> int | Fraction:
     if c not in (0, 1, -1) and k * max(
         c.numerator.bit_length(), c.denominator.bit_length()
     ) > MAX_POWER_BITS:
@@ -249,12 +253,12 @@ def mk_quot(num: Expr, den: Expr) -> Expr:
         if den.value == 0:
             # keep the bad quotient; evaluation reports the error
             return Quot(num, den)
-        return mk_prod((Const(1 / den.value), num))
+        return mk_prod((Const(Fraction(1, den.value)), num))
     return Quot(num, den)
 
 
 def mk_neg(e: Expr) -> Expr:
-    return mk_prod((Const(Fraction(-1)), e))
+    return mk_prod((MINUS_ONE, e))
 
 
 def mk_func(name: str, arg: Expr) -> Expr:
@@ -324,7 +328,7 @@ def _diff(e: Expr, idx: int) -> Expr:
         return mk_quot(num, mk_pow(e.den, 2))
     if isinstance(e, Pow):
         return mk_prod(
-            (Const(Fraction(e.exponent)), mk_pow(e.base, e.exponent - 1), _diff(e.base, idx))
+            (Const(e.exponent), mk_pow(e.base, e.exponent - 1), _diff(e.base, idx))
         )
     if isinstance(e, Func):
         da = _diff(e.arg, idx)
@@ -338,7 +342,7 @@ def _diff(e: Expr, idx: int) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def eval_at_origin(e: Expr) -> Fraction:
+def eval_at_origin(e: Expr) -> int | Fraction:
     """Exact value at t = 0, x = 0.
 
     Transcendental functions are only defined here at argument 0
@@ -348,11 +352,11 @@ def eval_at_origin(e: Expr) -> Fraction:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
-        return Fraction(0)
+        return 0
     if isinstance(e, Sum):
-        return sum((eval_at_origin(t) for t in e.terms), Fraction(0))
+        return sum(eval_at_origin(t) for t in e.terms)
     if isinstance(e, Prod):
-        acc = Fraction(1)
+        acc = 1
         for f in e.factors:
             acc *= eval_at_origin(f)
         return acc
@@ -360,7 +364,7 @@ def eval_at_origin(e: Expr) -> Fraction:
         den = eval_at_origin(e.den)
         if den == 0:
             raise DivisionByZeroError("division by zero at the origin")
-        return eval_at_origin(e.num) / den
+        return Fraction(eval_at_origin(e.num), den)  # exact, also for two ints
     if isinstance(e, Pow):
         return _const_pow(eval_at_origin(e.base), e.exponent)
     if isinstance(e, Func):
@@ -369,7 +373,7 @@ def eval_at_origin(e: Expr) -> Fraction:
             raise NonzeroTranscendentalError(
                 f"{e.name}({exact_str(v)}) has no exact rational value"
             )
-        return Fraction(0) if e.name == "sin" else Fraction(1)
+        return 0 if e.name == "sin" else 1
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -583,7 +587,7 @@ def render(e: Expr) -> str:
             base = f"({base})"
         return f"{base}^{exact_str(e.exponent)}"
     if isinstance(e, Prod):
-        c, factors = Fraction(1), e.factors
+        c, factors = 1, e.factors
         if isinstance(factors[0], Const):
             c, factors = factors[0].value, factors[1:]
         if c == -1 and len(factors) == 1 and isinstance(factors[0], Quot):

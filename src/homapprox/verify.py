@@ -129,7 +129,8 @@ def _py(e: ex.Expr, names: tuple, bind=None) -> str:
     if bind and _level(e) < 2 and not isinstance(e, (ex.Const, ex.Var)):
         return bind(_py(e, names), _level(e), names[0])
     if isinstance(e, ex.Const):
-        return f"({float(e.value)!r})"
+        # a true division, as in float() of a Fraction: same OverflowError text
+        return f"({e.value.numerator / e.value.denominator!r})"
     if isinstance(e, ex.Var):
         return names[e.index]
     if isinstance(e, (ex.Sum, ex.Prod)):

@@ -1,7 +1,9 @@
 """Dense coefficient vectors over all 2^(m-1) words of an order m, for
 tests only, and the shuffle polynomial solve on them that
 `approx.express_as_shuffle_poly` did before it solved over the words that
-occur: a reference that must give the same answers."""
+occur: a reference that must give the same answers.  Its shuffle monomials
+are built from scratch, as shuffles of shuffle powers, so they are also the
+reference for `approx.ShuffleMonomials`."""
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -9,11 +11,25 @@ from homapprox.algebra import (
     AlgElem,
     enumerate_basis,
     shuffle,
-    shuffle_power,
     weighted_multi_indices,
 )
 from homapprox.approx import NotRepresentableError
 from homapprox.linalg import solve_particular
+
+
+def shuffle_power(e: AlgElem, q: int) -> AlgElem:
+    """q-fold shuffle power; the 0th power is the scalar 1."""
+    if q < 0:
+        raise ValueError("shuffle powers need q >= 0")
+    acc = AlgElem.scalar(1)
+    for _ in range(q):
+        acc = shuffle(acc, e)
+    return acc
+
+
+def shuffle_monomial(generators: list, q) -> AlgElem:
+    """The shuffle of the generators' powers q, built from scratch."""
+    return reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1))
 
 
 @lru_cache(maxsize=None)
@@ -48,13 +64,7 @@ def dense_shuffle_poly(target: AlgElem, generators: list, weights, degree: int) 
         if target.is_zero():
             return {}
         raise NotRepresentableError(target, degree)
-    columns = [
-        vectorize(
-            reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1)),
-            degree,
-        )
-        for q in qs
-    ]
+    columns = [vectorize(shuffle_monomial(generators, q), degree) for q in qs]
     sol = solve_particular(columns, vectorize(target, degree))
     if sol is None:
         raise NotRepresentableError(target, degree)

@@ -7,6 +7,7 @@ from homapprox.approx import (
     NoAutonomousApproximation,
     NotRepresentableError,
     PolynomialSystem,
+    ShuffleMonomials,
     express_as_shuffle_poly,
 )
 
@@ -23,13 +24,12 @@ def reference_autonomous(core, projected):
     w_i - 1; a nonexistence witness when some image is not representable."""
     n = core.n
     weights = core.weights
+    monomials = ShuffleMonomials(projected)
     a, b = [], []
     for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
         for kind, image, bucket in (("phi", phi(ltilde), a), ("psi", psi(ltilde), b)):
             try:
-                poly = express_as_shuffle_poly(
-                    image, projected[:i], weights[:i], w_i - 1
-                )
+                poly = express_as_shuffle_poly(image, monomials, weights[:i], w_i - 1)
             except NotRepresentableError:
                 return NoAutonomousApproximation(i + 1, kind, image, w_i - 1)
             pad = (0,) * (n - i)

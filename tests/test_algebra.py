@@ -3,7 +3,6 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -13,11 +12,10 @@ from homapprox.algebra import (
     enumerate_basis,
     phi,
     shuffle,
-    shuffle_power,
     word_order,
     word_sort_key,
 )
-from dense import basis_index, vectorize
+from dense import basis_index, shuffle_monomial, shuffle_power, vectorize
 
 
 def xi(*letters):
@@ -174,12 +172,9 @@ def test_shuffle_power():
 
 def test_shuffle_monomial():
     # a monomial in several generators is the shuffle of their powers
-    def monomial(generators, q):
-        return reduce(shuffle, map(shuffle_power, generators, q), AlgElem.scalar(1))
-
-    assert monomial([xi(0)], (2,)) == 2 * xi(0, 0)
-    assert monomial([xi(0)], (0,)) == AlgElem.scalar(1)
-    assert monomial([xi(0), xi(1)], (1, 1)) == xi(0, 1) + xi(1, 0)
+    assert shuffle_monomial([xi(0)], (2,)) == 2 * xi(0, 0)
+    assert shuffle_monomial([xi(0)], (0,)) == AlgElem.scalar(1)
+    assert shuffle_monomial([xi(0), xi(1)], (1, 1)) == xi(0, 1) + xi(1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ systems: the output's own series reproduces the projections, the
 non-autonomous approximation is a fixed point of `approximate`, the
 dense graded blocks of the ideal have the codimension the theory gives,
 the autonomous system equals the one of the old psi route, the shuffle
-polynomial solves agree with a dense reference, scaling the control
+monomial table and the shuffle polynomial solves agree with dense
+references built from scratch, scaling the control
 changes only what the theory says it scales, and a polynomial change of
 coordinates changes nothing."""
 from fractions import Fraction
@@ -22,12 +23,13 @@ from homapprox.algebra import (
 from homapprox.approx import (
     NotAccessibleError,
     NotRepresentableError,
+    ShuffleMonomials,
     approximate,
     check_self_consistency,
     express_as_shuffle_poly,
 )
 from homapprox.series import system_from_strings
-from dense import dense_shuffle_poly, vectorize
+from dense import dense_shuffle_poly, shuffle_monomial, vectorize
 from reference_autonomous import psi, reference_autonomous
 from reparse import reparsed
 from rowspace import row_space_canonical
@@ -115,6 +117,35 @@ def test_autonomous_matches_the_psi_route(case):
     assert res.autonomous == reference_autonomous(res.core, res.projected)
 
 
+# small elements of mixed orders: the table needs no homogeneity
+elements = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=2).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=3,
+).map(AlgElem)
+
+
+@st.composite
+def monomial_queries(draw):
+    """(generators, exponent tuples), each tuple over a prefix of the
+    generators, some with trailing zeros."""
+    generators = draw(st.lists(elements, max_size=3))
+    exponents = st.lists(st.integers(0, 3), max_size=len(generators)).map(tuple)
+    exponents = exponents.filter(lambda q: sum(q) <= 4)  # words of length <= 8
+    return generators, draw(st.lists(exponents, min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(monomial_queries())
+@example(([xi(0), xi(1) - xi(0, 0)], [(2, 1), (0, 2), (1,), (0, 0), ()]))
+def test_shuffle_monomial_table_matches_monomials_from_scratch(case):
+    # one table answers every query, as one reconstruction's solves share it
+    generators, queries = case
+    table = ShuffleMonomials(generators)
+    for q in queries:
+        assert table[q] == shuffle_monomial(generators, q), q
+
+
 def _shuffle_poly_problems(res):
     """What the reconstructions solve for each l~_i: each of its last-letter
     tails, and its phi image, over l~_1..l~_{i-1}."""
@@ -145,9 +176,11 @@ def test_shuffle_poly_solve_matches_the_dense_reference(case):
         res = approximate(system, max_order)
     except NotAccessibleError:
         assume(False)
-    for problem in _shuffle_poly_problems(res):
-        got = _solved(express_as_shuffle_poly, problem)
-        assert got == _solved(dense_shuffle_poly, problem), problem
+    table = ShuffleMonomials(res.projected)  # shared, as in each reconstruction
+    for target, generators, weights, degree in _shuffle_poly_problems(res):
+        got = _solved(express_as_shuffle_poly, (target, table, weights, degree))
+        want = _solved(dense_shuffle_poly, (target, generators, weights, degree))
+        assert got == want, (target, weights, degree)
 
 
 def _outcome(n, a, b, max_order):

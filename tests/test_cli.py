@@ -332,6 +332,43 @@ def test_option_reader_on_what_argparse_versions_read_differently(tokens, code, 
     assert (args.input, args.out) == ("--", "--")
 
 
+# the pattern by which the option reader once told a negative number from an
+# option; it matches what argparse's own negative-number pattern matches
+_OLD_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+# ASCII and other Unicode decimal digits (Arabic-Indic, Devanagari, fullwidth,
+# mathematical), digits that are not decimal (superscript two, one half), a
+# point, a minus, a newline and letters
+_TOKEN_CHARS = "019.-\n\u0663\u0967\uff15\U0001d7d8\u00b2\u00bdehx_"
+
+
+@pytest.mark.parametrize(
+    "token, number",
+    [
+        ("-1", True), ("-12", True), ("-.5", True), ("-1.5", True),
+        ("-\u0663", True), ("-\u0661.\u0665", True), ("-1\n", True), ("-.5\n", True),
+        ("-1.", False), ("-.", False), ("--1", False), ("-1.5.3", False),
+        ("-1\n\n", False), ("-\n", False), ("-\u00b2", False), ("-\u00bd", False),
+        ("-1e3", False), ("-1_0", False), ("-h1", False), ("-\n1", False),
+    ],
+)
+def test_negative_numbers_are_values(token, number):
+    assert bool(_OLD_NUMBER.match(token)) is number
+    assert (cli._option(token) is None) is number
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.text(_TOKEN_CHARS, max_size=6) | st.text(max_size=4).filter(lambda t: " " not in t))
+@example("\u0663\u0663")
+@example("1.\n")
+@example("")
+def test_negative_number_check_matches_the_old_pattern(body):
+    # without a space, a token starting with "-" that is not a number names
+    # options (maybe none), so _option returns None exactly for numbers
+    token = "-" + body
+    assume(token != "-")
+    assert (cli._option(token) is None) is bool(_OLD_NUMBER.match(token)), token
+
+
 def test_usage_matches_argparse(monkeypatch):
     # the usage is built from the option table, wrapped as argparse wraps it
     # at 80 columns
@@ -739,6 +776,18 @@ def test_main_verify_compiles_huge_exponents(tmp_path, capsys):
     with pytest.raises(OverflowError, match="int too large to convert to float"):
         integrate((1.0,), 0.1, 10)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_main_verify_reports_a_constant_past_float_range(tmp_path, capsys):
+    # 10^400 is an int in the tree; --verify's generated code reads it by a
+    # true division, as float() read the Fraction before, so the text is the same
+    p = tmp_path / "big.txt"
+    p.write_text("n = 1\na1 = 0\nb1 = 1 + 10^400*x1\n")
+    assert main(["--input", str(p), "--max-order", "3", "--verify"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: --verify: integer division result too large for a float"
+        " in backward integration\n"
+    )
 
 
 def test_closed_stdout_ends_in_exit_2(ex1_file):

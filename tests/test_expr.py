@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homapprox import expr as ex
-from homapprox.series import ControlSystem
+from homapprox.series import ControlSystem, EquilibriumError, certify_drift
 from reference_rk4 import reference_field
 
 
@@ -51,6 +51,48 @@ def test_parse_rational_and_decimal_literals():
     assert ex.parse_expr("2/5", 3) == ex.Const(F(2, 5))
     assert ex.parse_expr("0.5", 3) == ex.Const(F(1, 2))
     assert ex.parse_expr("2.25", 3) == ex.Const(F(9, 4))
+
+
+def test_integral_constants_are_ints():
+    # Const stores an integral value as an int, which compares, hashes,
+    # sorts and prints as the Fraction it stands for
+    three = ex.Const(F(3))
+    assert type(three.value) is int and three.value == 3
+    assert three == ex.Const(3) and hash(three) == hash(ex.Const(3))
+    assert ex._key(ex.Const(F(-4))) == ex._key(ex.Const(-4)) == "0(-4)"
+    assert type(ex.Const(F(3, 2)).value) is Fraction
+    # folded coefficients too; a quotient by a constant stays exact
+    assert type(ex.parse_expr("6/3", 3).value) is int
+    assert type(ex.parse_expr("2.0*x1", 3).factors[0].value) is int
+    half = ex.parse_expr("x1/2", 3).factors[0].value
+    assert type(half) is Fraction and half == F(1, 2)
+    assert ex.differentiate(ex.parse_expr("x1^3", 3), 1) == ex.Prod(
+        (ex.Const(F(3)), ex.Pow(ex.Var(1), 2))
+    )
+    for text, printed in [
+        ("3*x1 - 2", "-2 + 3*x1"),
+        ("x1/2 - 4*t/2", "-2*t + 1/2*x1"),
+        ("(2 - 1/2)*x1^2 + 6/3", "2 + 3/2*x1^2"),
+        ("-1/(2 - t)", "-1/(2 - t)"),
+        ("x1*2^70/2^69", "2*x1"),
+    ]:
+        e = ex.parse_expr(text, 3)
+        assert str(e) == printed
+        assert ex.parse_expr(printed, 3) == e
+
+
+def test_integral_quotients_at_the_origin_stay_exact():
+    # int / int would be a float
+    value = ex.eval_at_origin(ex.parse_expr("3/(2 + t)", 3))
+    assert type(value) is Fraction and value == F(3, 2)
+    assert ex.eval_at_origin(ex.parse_expr("4/(2 + t)", 3)) == 2
+    # a drift whose x = 0 value is a quotient in t reaches the exact check at
+    # 20 rational times, and certifies
+    drift = ex.parse_expr("x1/(2 - t)", 1)
+    assert ex.substitute(drift, {1: ex.ZERO}) != ex.ZERO
+    certify_drift("a1", drift, 1)
+    with pytest.raises(EquilibriumError, match=r"a1\(t,0\) = 1/13 != 0 at t = 1/7;"):
+        certify_drift("a1", ex.parse_expr("t/(2 - t)", 1), 1)
 
 
 def test_parse_precedence_and_associativity():
@@ -115,7 +157,7 @@ def test_huge_constants_sort_past_the_digit_limit():
     assert ex.parse_expr("2^65536", 3) == huge
     assert ex.parse_expr("x1 + 2^65536", 3) == ex.Sum((huge, ex.Var(1)))
     assert ex.parse_expr("x1 - 1/2^65536", 3) == ex.Sum(
-        (ex.Const(-1 / huge.value), ex.Var(1))
+        (ex.Const(F(-1, huge.value)), ex.Var(1))
     )
     # they print in full outside the CLI, as do literals and exponents of
     # 5000 digits, and the text parses back to the same tree
