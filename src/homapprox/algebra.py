@@ -73,15 +73,16 @@ def exact_str(c) -> str:
         return num if c.denominator == 1 else f"{num}/{Decimal(c.denominator)}"
 
 
-def exact_number(digits: str) -> Fraction:
+def exact_number(digits: str) -> int | Fraction:
     """Exact value of ASCII digits with an optional sign and decimal part, of
-    any length."""
+    any length: an int without a decimal point, else a Fraction."""
+    kind = Fraction if "." in digits else int
     try:
-        return Fraction(digits)
-    except ValueError:
+        return kind(digits)
+    except ValueError:  # past Python's string-to-int digit limit, which Decimal lacks
         from decimal import Decimal
 
-        return Fraction(Decimal(digits))
+        return kind(Decimal(digits))
 
 
 def scaled(c: Fraction, body: str, times: str) -> str:

@@ -36,9 +36,9 @@ from .algebra import (
     word_order,
     word_sort_key,
 )
-from .lie import build_lie_basis
+from .lie import InternalConsistencyError, build_lie_basis
 from .linalg import IntEchelon, scale_to_int, solve_particular, solve_square
-from .series import ControlSystem, SeriesComputer, validate_equilibrium
+from .series import ControlSystem, SeriesComputer, certify_drift
 
 DEFAULT_MAX_ORDER = 13
 
@@ -66,10 +66,6 @@ class NotRepresentableError(Exception):
         )
         self.elem = elem
         self.order = order
-
-
-class InternalConsistencyError(Exception):
-    """The construction violated one of its own guaranteed invariants."""
 
 
 class CoreElement(namedtuple("CoreElement", "index word elem order vcoeff")):
@@ -287,20 +283,19 @@ def _pad_exponents(q, n: int) -> tuple:
     return tuple(q) + (0,) * (n - len(q))
 
 
-def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialSystem:
+def build_nonautonomous(core: CoreDecomposition, monomials: ShuffleMonomials) -> PolynomialSystem:
     """Non-autonomous approximating system: a = 0 and
 
         b_i = -sum_j P_{j,i}(x_1..x_{i-1}) t^j
 
     where splitting l~_i by its last letter gives l~_i = sum_j y_j xi_j and
     P_{j,i} represents y_j as a shuffle polynomial of weighted degree
-    w_i - j - 1 in l~_1..l~_{i-1}.  The length-1 word xi_{w_i - 1} has the
-    empty prefix, so y_{w_i - 1} is a constant, of degree 0."""
+    w_i - j - 1 in l~_1..l~_{i-1}, the generators of `monomials`.  The word
+    xi_{w_i - 1} has the empty prefix, so y_{w_i - 1} is a constant."""
     n = core.n
     weights = core.weights
-    monomials = ShuffleMonomials(projected)
     b = []
-    for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
+    for i, (w_i, ltilde) in enumerate(zip(weights, monomials.generators)):
         tails: dict = {}
         for word, c in ltilde.terms.items():
             tails.setdefault(word[-1], {})[word[:-1]] = c
@@ -316,18 +311,17 @@ def build_nonautonomous(core: CoreDecomposition, projected: list) -> PolynomialS
 
 
 def build_autonomous(
-    core: CoreDecomposition, projected: list, nonautonomous: PolynomialSystem
+    core: CoreDecomposition, monomials: ShuffleMonomials, nonautonomous: PolynomialSystem
 ):
     """Autonomous approximating system a_i = -P_i(x), from a shuffle
     polynomial representation P_i of phi(l~_i) of weighted degree w_i - 1,
     and b_i the t^0 part of the non-autonomous b_i, which represents the
-    xi_0-tail of l~_i; returns a nonexistence witness when some phi image
-    is not representable."""
+    xi_0-tail of l~_i (`monomials`' generators are the l~_i); returns a
+    nonexistence witness when some phi image is not representable."""
     n = core.n
     weights = core.weights
-    monomials = ShuffleMonomials(projected)
     a = []
-    for i, (w_i, ltilde) in enumerate(zip(weights, projected)):
+    for i, (w_i, ltilde) in enumerate(zip(weights, monomials.generators)):
         image = phi(ltilde)
         try:
             poly = express_as_shuffle_poly(image, monomials, weights[:i], w_i - 1)
@@ -347,12 +341,14 @@ def approximate(
     """Full pipeline; N is the order of the series table on which
     select_core completed the core (at least min(n, max_order)).  Raises
     EquilibriumError unless the origin is certified an equilibrium."""
-    validate_equilibrium(sys)
+    for i, ai in enumerate(sys.a, start=1):
+        certify_drift(f"a{i}", ai, sys.n)
     core, table = select_core(SeriesComputer(sys), sys.n, max_order)
     blocks = build_ideal_blocks(core)
     projected = project_core(core, blocks)
-    nonautonomous = build_nonautonomous(core, projected)
-    autonomous = build_autonomous(core, projected, nonautonomous)
+    monomials = ShuffleMonomials(projected)  # one table for both systems
+    nonautonomous = build_nonautonomous(core, monomials)
+    autonomous = build_autonomous(core, monomials, nonautonomous)
     return ApproximationResult(
         system=sys,
         N=table.N,

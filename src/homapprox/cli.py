@@ -80,7 +80,7 @@ def parse_system_file(text: str) -> ControlSystem:
             digits = value[1:] if value[:1] in "+-" else value
             if not (digits.isascii() and digits.isdigit()):
                 raise InputError(f"line {lineno}: n must be an integer")
-            n = exact_number(value).numerator
+            n = exact_number(value)
             if not 1 <= n <= 10:
                 raise InputError(f"line {lineno}: n must be between 1 and 10")
             continue

@@ -22,6 +22,8 @@ from .algebra import exact_number, exact_str, scaled, signed_sum
 MAX_DEPTH = 32
 # bits a constant power c^k may take: k times the bit length of c's larger part
 MAX_POWER_BITS = 2**17
+# sample times series.certify_drift tries: 1/7..10/7, -1/7..-10/7, 11/7, ..
+MAX_SAMPLES = 256
 
 
 class ExprError(Exception):
@@ -377,29 +379,25 @@ def eval_at_origin(e: Expr) -> int | Fraction:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def variables(e: Expr) -> set[int]:
-    """Indices of all variables occurring in the expression."""
+def degrees(e: Expr) -> dict[int, int]:
+    """{index: bound} for each variable e reads: e = P/Q for polynomials of
+    degree at most the bound in it, once each sin/cos/exp is a constant.  A
+    sum, product or quotient adds its parts' bounds, a power multiplies its
+    base's by the exponent and a function keeps its argument's."""
     if isinstance(e, Const):
-        return set()
+        return {}
     if isinstance(e, Var):
-        return {e.index}
-    if isinstance(e, Sum):
-        out = set()
-        for t in e.terms:
-            out |= variables(t)
-        return out
-    if isinstance(e, Prod):
-        out = set()
-        for f in e.factors:
-            out |= variables(f)
-        return out
-    if isinstance(e, Quot):
-        return variables(e.num) | variables(e.den)
+        return {e.index: 1}
     if isinstance(e, Pow):
-        return variables(e.base)
+        return {i: d * e.exponent for i, d in degrees(e.base).items()}
     if isinstance(e, Func):
-        return variables(e.arg)
-    raise TypeError(f"not an Expr: {e!r}")
+        return degrees(e.arg)
+    out: dict[int, int] = {}
+    parts = (e.num, e.den) if isinstance(e, Quot) else e.terms if isinstance(e, Sum) else e.factors
+    for part in parts:
+        for i, d in degrees(part).items():
+            out[i] = out.get(i, 0) + d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ class _Parser:
             self.error("'^' requires a non-negative integer literal", start)
         if self.text.startswith(".", self.pos):
             self.error("'^' requires an integer exponent, not a decimal", start)
-        return exact_number(self.text[start : self.pos]).numerator
+        return exact_number(self.text[start : self.pos])
 
     def parse_atom(self) -> Expr:
         c = self.peek()
@@ -550,7 +548,7 @@ class _Parser:
         if name == "t":
             return T
         if name.startswith("x") and name.isascii() and name[1:].isdigit():
-            idx = exact_number(name[1:]).numerator
+            idx = exact_number(name[1:])
             if idx < 1 or idx > self.n:
                 self.error(f"variable {name} out of range (n={self.n})", start)
             return Var(idx)

@@ -16,6 +16,10 @@ from .algebra import AlgElem, Word, concat, enumerate_basis
 from .linalg import IntEchelon
 
 
+class InternalConsistencyError(Exception):
+    """The construction violated one of its own guaranteed invariants."""
+
+
 class LieBasisElement(namedtuple("LieBasisElement", "word expansion order index")):
     # index: 1-based position in the assembled basis
     __slots__ = ()
@@ -85,7 +89,7 @@ def _kept_words(m: int) -> tuple:
                 kept.append(w)
     expected = witt_dimension(m)
     if len(kept) != expected:
-        raise AssertionError(
+        raise InternalConsistencyError(
             f"order {m}: kept {len(kept)} brackets, Witt formula gives {expected}"
         )
     return tuple(kept)

@@ -116,8 +116,8 @@ def evaluate_moments(control: PiecewiseConstantControl, words) -> dict:
 def _level(e: ex.Expr) -> int:
     """0 when e reads no variable, 1 when it reads t alone, 2 when it
     reads a state."""
-    v = ex.variables(e)
-    return 2 if v - {0} else len(v)
+    v = ex.degrees(e)
+    return 2 if v.keys() - {0} else len(v)
 
 
 def _py(e: ex.Expr, names: tuple, bind=None) -> str:
@@ -204,7 +204,7 @@ def compile_backward(sys: ControlSystem):
     A step that raises does so in the same stage as the textbook loop,
     with the same error unless two parts of that stage fail differently.
     """
-    read = set().union(*map(ex.variables, (*sys.a, *sys.b)))
+    read = set().union(*map(ex.degrees, (*sys.a, *sys.b)))
     init, piece, step = [], [], []
     if 0 in read:
         init.append("t = theta")

@@ -1,8 +1,9 @@
 """Properties of the whole pipeline on random accessible polynomial
-systems: the output's own series reproduces the projections, the
-non-autonomous approximation is a fixed point of `approximate`, the
-dense graded blocks of the ideal have the codimension the theory gives,
-the autonomous system equals the one of the old psi route, the shuffle
+systems: the output's own series reproduces the projections, and so does
+the autonomous output's where it exists, the non-autonomous
+approximation is a fixed point of `approximate`, the dense graded
+blocks of the ideal have the codimension the theory gives, the
+autonomous system equals the one of the old psi route, the shuffle
 monomial table and the shuffle polynomial solves agree with dense
 references built from scratch, scaling the control
 changes only what the theory says it scales, and a polynomial change of
@@ -88,6 +89,22 @@ def test_random_accessible_systems(case):
     assert again.weights == res.weights
     assert again.nonautonomous.a == res.nonautonomous.a
     assert again.nonautonomous.b == res.nonautonomous.b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(systems())
+# weights (1, 2), with an autonomous system whose b_1 = 1 comes from xi_0
+@example((system_from_strings(2, ["0", "x1"], ["1", "0"]), 4))
+def test_autonomous_series_reproduces_the_projections(case):
+    # the self-check's identity holds for the autonomous system too: its own
+    # series gives each l~_k at order w_k in component k and nothing below
+    system, max_order = case
+    try:
+        res = approximate(system, max_order)
+    except NotAccessibleError:
+        assume(False)
+    assume(res.autonomous_exists())
+    check_self_consistency(res._replace(nonautonomous=res.autonomous))
 
 
 def xi(*letters):
@@ -176,7 +193,7 @@ def test_shuffle_poly_solve_matches_the_dense_reference(case):
         res = approximate(system, max_order)
     except NotAccessibleError:
         assume(False)
-    table = ShuffleMonomials(res.projected)  # shared, as in each reconstruction
+    table = ShuffleMonomials(res.projected)  # shared, as by both reconstructions
     for target, generators, weights, degree in _shuffle_poly_problems(res):
         got = _solved(express_as_shuffle_poly, (target, table, weights, degree))
         want = _solved(dense_shuffle_poly, (target, generators, weights, degree))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from homapprox import cli
 from homapprox import expr as ex
+from homapprox import lie
 from homapprox import verify as vf
 from homapprox.algebra import AlgElem
 from homapprox.approx import DEFAULT_MAX_ORDER, approximate
@@ -497,6 +498,52 @@ def test_main_equilibrium_violation(tmp_path, capsys):
         "error: line 2, a1: a1(t,0) = 1/49 != 0 at t = 1/7; "
         "the origin must be an equilibrium of the drift\n"
     )
+
+
+# zero at the twenty times t = +-k/7, k = 1..10, but (10!)^2 at t = 0
+VANISHING_AT_OLD_SAMPLES = "*".join(f"(49*t^2 - {k * k})" for k in range(1, 11))
+
+
+@pytest.mark.parametrize(
+    "a1, code, first_line",
+    [
+        # a(t,0) has t-degree bound 20, so a 21st time is needed, and refutes it
+        (
+            VANISHING_AT_OLD_SAMPLES,
+            EXIT_INPUT,
+            "error: line 2, a1: a1(t,0) = 4644631106519040000 != 0 at t = 11/7; "
+            "the origin must be an equilibrium of the drift",
+        ),
+        (
+            f"sin(t*{VANISHING_AT_OLD_SAMPLES})",
+            EXIT_INPUT,
+            "error: line 2, a1: a1(t,0) cannot be certified zero at t=11/7: "
+            "sin(7298706024529920000) has no exact rational value; "
+            "rewrite the drift so a(t,0) simplifies to 0",
+        ),
+        # a(t,0) = 0/(1 - 7*t) is identically 0; the pole at t = 1/7 does not count
+        ("x1/(1 - 7*t)", EXIT_OK, ""),
+    ],
+)
+def test_main_certifies_the_drift_from_its_degree_bound(tmp_path, capsys, a1, code, first_line):
+    p = tmp_path / "drift.txt"
+    p.write_text(f"n = 1\na1 = {a1}\nb1 = 1\n")
+    assert main(["--input", str(p)]) == code
+    assert capsys.readouterr().err.split("\n")[0] == first_line
+
+
+def test_main_exits_internal_on_a_witt_mismatch(ex1_file, capsys, monkeypatch):
+    # the Lie basis checks its kept brackets against the Witt formula; the
+    # cache is cleared so that order 1 is scanned again, and after, so that
+    # no order scanned under the patch stays
+    witt = lie.witt_dimension
+    monkeypatch.setattr(lie, "witt_dimension", lambda m: witt(m) + 1)
+    lie._kept_words.cache_clear()
+    try:
+        assert main(["--input", str(ex1_file)]) == EXIT_INTERNAL
+    finally:
+        lie._kept_words.cache_clear()
+    assert capsys.readouterr().err.startswith("internal error: order 1: kept 1 brackets, ")
 
 
 @pytest.mark.parametrize(

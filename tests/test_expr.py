@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homapprox import expr as ex
+from homapprox.algebra import exact_number
 from homapprox.series import ControlSystem, EquilibriumError, certify_drift
 from reference_rk4 import reference_field
 
@@ -87,7 +88,7 @@ def test_integral_quotients_at_the_origin_stay_exact():
     assert type(value) is Fraction and value == F(3, 2)
     assert ex.eval_at_origin(ex.parse_expr("4/(2 + t)", 3)) == 2
     # a drift whose x = 0 value is a quotient in t reaches the exact check at
-    # 20 rational times, and certifies
+    # rational times, and certifies
     drift = ex.parse_expr("x1/(2 - t)", 1)
     assert ex.substitute(drift, {1: ex.ZERO}) != ex.ZERO
     certify_drift("a1", drift, 1)
@@ -176,6 +177,26 @@ def test_huge_constants_sort_past_the_digit_limit():
     assert sys.get_int_max_str_digits() == limit
     # the key of a constant that str prints is still str's
     assert ex._key(ex.Const(F(-7, 3))) == "0(-7/3)"
+
+
+def test_digits_read_as_ints_past_the_digit_limit():
+    # digits without a decimal point are an int, also past Python's
+    # string-to-int digit limit (4300 digits by default): a literal, an
+    # exponent and a variable index; a decimal is a Fraction
+    limit = sys.get_int_max_str_digits()
+    ones, repunit = "1" * 5000, (10**5000 - 1) // 9
+    for digits, value in ((ones, repunit), ("-" + ones, -repunit), ("+12", 12)):
+        number = exact_number(digits)
+        assert type(number) is int and number == value
+    decimal = exact_number(ones + ".5")
+    assert type(decimal) is Fraction and decimal == F(2 * repunit + 1, 2)
+    assert type(exact_number("2.50")) is Fraction
+    literal = ex.parse_expr(ones, 1)
+    assert type(literal.value) is int and literal.value == repunit
+    power = ex.parse_expr(f"x1^{ones}", 1)
+    assert type(power.exponent) is int and power.exponent == repunit
+    assert ex.parse_expr("x" + "0" * 5000 + "1", 1) == ex.Var(1)
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +406,49 @@ def test_substitute_zeroes_states_at_once_property(rng):
     for j in (1, 2, 3):
         one_at_a_time = ex.substitute(one_at_a_time, {j: ex.ZERO})
     assert ex.substitute(e, {1: ex.ZERO, 2: ex.ZERO, 3: ex.ZERO}) == one_at_a_time
+
+
+def _variables(e: ex.Expr) -> set:
+    """The indices of the variables in the tree, by its fields."""
+    if isinstance(e, ex.Var):
+        return {e.index}
+    parts = [v for v in e._values() if isinstance(v, ex.Expr)]
+    parts += [p for v in e._values() if isinstance(v, tuple) for p in v]
+    return set().union(*map(_variables, parts))
+
+
+def _to_sympy(sympy, e: ex.Expr, funcs: dict):
+    """e in sympy, each sin/cos/exp node a symbol of its own."""
+    if isinstance(e, ex.Const):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, ex.Var):
+        return sympy.Symbol(f"v{e.index}")
+    if isinstance(e, ex.Func):
+        return funcs.setdefault(e, sympy.Symbol(f"f{len(funcs)}"))
+    if isinstance(e, ex.Pow):
+        return _to_sympy(sympy, e.base, funcs) ** e.exponent
+    if isinstance(e, ex.Quot):
+        return _to_sympy(sympy, e.num, funcs) / _to_sympy(sympy, e.den, funcs)
+    parts = [_to_sympy(sympy, p, funcs) for p in e._values()[0]]
+    return sympy.Add(*parts) if isinstance(e, ex.Sum) else sympy.Mul(*parts)
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_degrees_bound_numerator_and_denominator_property(rng):
+    # the keys are the variables read, and with each function taken for a
+    # constant every bound is at least the degree of the numerator and of the
+    # denominator that sympy's together gives
+    sympy = pytest.importorskip("sympy")
+    text, raw = random_expr(rng, 4)
+    for e in (raw, ex.parse_expr(text, 3)):
+        bounds = ex.degrees(e)
+        assert set(bounds) == _variables(e)
+        num, den = sympy.fraction(sympy.together(_to_sympy(sympy, e, {})))
+        for i in range(4):
+            v = sympy.Symbol(f"v{i}")
+            assert sympy.degree(num, v) <= bounds.get(i, 0), (text, i)
+            assert sympy.degree(den, v) <= bounds.get(i, 0), (text, i)
 
 
 def test_substitute_rebuilds_through_the_constructors():

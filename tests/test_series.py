@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homapprox import expr as ex
 from homapprox.algebra import word_order
@@ -16,8 +18,8 @@ from homapprox.series import (
     SeriesComputer,
     apply_R_a,
     apply_R_b,
+    certify_drift,
     system_from_strings,
-    validate_equilibrium,
 )
 from reparse import reparsed
 
@@ -245,14 +247,15 @@ def test_json_encoding(sys_scalar):
 # equilibrium validation
 
 def test_equilibrium_accepts_valid_systems(sys3, sys3_drift):
-    validate_equilibrium(sys3)
-    validate_equilibrium(sys3_drift)
+    for sys in (sys3, sys3_drift):
+        for i, ai in enumerate(sys.a, start=1):
+            certify_drift(f"a{i}", ai, sys.n)
 
 
 def test_equilibrium_rejects_nonzero_drift():
     sys = system_from_strings(1, ["t"], ["1"])
     with pytest.raises(EquilibriumError):
-        validate_equilibrium(sys)
+        certify_drift("a1", sys.a[0], sys.n)
     # the pipeline certifies the equilibrium on entry
     with pytest.raises(EquilibriumError):
         approximate(sys)
@@ -262,7 +265,7 @@ def test_equilibrium_certifies_by_rational_sampling():
     # a(t,0) = t^2 - t*t is 0 only after cancellation; polynomial
     # structure lets exact evaluation certify it
     sys = system_from_strings(1, ["(t + x1)^2 - t^2 - 2*t*x1 - x1^2"], ["1"])
-    validate_equilibrium(sys)
+    certify_drift("a1", sys.a[0], sys.n)
 
 
 def test_equilibrium_rejects_uncertifiable_identity():
@@ -270,4 +273,72 @@ def test_equilibrium_rejects_uncertifiable_identity():
     # needs trig identities; the check conservatively refuses
     sys = system_from_strings(1, ["sin(t)*cos(t) - sin(2*t)/2"], ["1"])
     with pytest.raises(EquilibriumError):
-        validate_equilibrium(sys)
+        approximate(sys)
+
+
+def _linear(r: int) -> str:
+    """7*t - r, which vanishes at t = r/7: for r = +-1..+-10 one of the
+    times the drift check evaluates at first."""
+    return f"(7*t - {r})" if r >= 0 else f"(7*t + {-r})"
+
+
+@st.composite
+def t_rational_drifts(draw):
+    """A drift x1*G(t) + A(t) - B(t): A and B write polynomials of degree up
+    to 24 in forms that do not simplify to each other, and B is A's
+    polynomial or one that differs from it in one root.  Half the time A
+    vanishes at all twenty times t = +-k/7, k = 1..10, that the check
+    evaluates at first.  Some forms divide by a factor that vanishes at one
+    of those times, a removable pole."""
+    first_times = [*range(1, 11), *range(-10, 0)]
+    roots = draw(st.one_of(
+        st.lists(st.integers(-12, 12), max_size=24),
+        st.lists(st.integers(-12, 12), max_size=4).map(first_times.__add__),
+    ))
+
+    def writing(rs):
+        product = "*".join(map(_linear, rs)) or "1"
+        form = draw(st.integers(0, 2))
+        if form == 0:
+            return product
+        if form == 1:
+            return f"{product}*(t + 1) - {product}*t"
+        r = draw(st.integers(-10, 10))
+        return f"{product}*{_linear(r)}/{_linear(r)}"
+
+    other = list(roots)
+    if draw(st.booleans()):
+        change = draw(st.integers(-12, 12))
+        other = other[1:] + [change] if other and draw(st.booleans()) else other + [change]
+    g = draw(st.sampled_from(["0", "1", "t", _linear(3)]))
+    return f"x1*{g} + {writing(roots)} - ({writing(other)})"
+
+
+@given(text=t_rational_drifts())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_certify_drift_agrees_with_sympy_property(text):
+    # a t-rational drift is certified exactly when a(t,0) cancels to 0
+    sympy = pytest.importorskip("sympy")
+    t, x1 = sympy.symbols("t x1")
+    at0 = sympy.sympify(text.replace("^", "**"), locals={"t": t, "x1": x1}).subs(x1, 0)
+    try:
+        certify_drift("a1", ex.parse_expr(text, 1), 1)
+        certified = True
+    except EquilibriumError:
+        certified = False
+    assert certified == (sympy.cancel(at0) == 0), text
+
+
+def test_certify_drift_refuses_past_the_sample_cap(monkeypatch):
+    # a(t,0) is 0 but written with bound 4: five zeros are needed, the
+    # first of the three times tried divides by zero
+    monkeypatch.setattr(ex, "MAX_SAMPLES", 3)
+    drift = ex.parse_expr(f"x1 + t*{_linear(1)}/{_linear(1)} - t", 1)
+    with pytest.raises(
+        EquilibriumError,
+        match=r"^a1\(t,0\) cannot be certified zero in 3 sample times; "
+        r"rewrite the drift so a\(t,0\) simplifies to 0$",
+    ):
+        certify_drift("a1", drift, 1)
+    monkeypatch.setattr(ex, "MAX_SAMPLES", 6)
+    certify_drift("a1", drift, 1)
