@@ -379,24 +379,36 @@ def eval_at_origin(e: Expr) -> int | Fraction:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def degrees(e: Expr) -> dict[int, int]:
-    """{index: bound} for each variable e reads: e = P/Q for polynomials of
-    degree at most the bound in it, once each sin/cos/exp is a constant.  A
-    sum, product or quotient adds its parts' bounds, a power multiplies its
-    base's by the exponent and a function keeps its argument's."""
+def degrees(e: Expr) -> dict[int, tuple[int, int, int]]:
+    """{index: (p, q, f)} for each variable e reads.  Once each sin/cos/exp
+    is taken for a constant, e = P/Q for polynomials of degree at most p
+    (P) and q (Q) in it, and f bounds that p of every sin/cos/exp argument
+    in e.  P1/Q1 + P2/Q2 = (P1*Q2 + P2*Q1)/(Q1*Q2), a product multiplies
+    the P's and the Q's, a quotient (P1*Q2)/(Q1*P2), and a power ^k
+    raises both."""
     if isinstance(e, Const):
         return {}
     if isinstance(e, Var):
-        return {e.index: 1}
+        return {e.index: (1, 0, 0)}
     if isinstance(e, Pow):
-        return {i: d * e.exponent for i, d in degrees(e.base).items()}
+        k = e.exponent
+        return {i: (p * k, q * k, f) for i, (p, q, f) in degrees(e.base).items()}
     if isinstance(e, Func):
-        return degrees(e.arg)
-    out: dict[int, int] = {}
-    parts = (e.num, e.den) if isinstance(e, Quot) else e.terms if isinstance(e, Sum) else e.factors
-    for part in parts:
-        for i, d in degrees(part).items():
-            out[i] = out.get(i, 0) + d
+        return {i: (0, 0, max(p, f)) for i, (p, q, f) in degrees(e.arg).items()}
+    if isinstance(e, Quot):
+        den = {i: (q, p, f) for i, (p, q, f) in degrees(e.den).items()}
+        parts = [degrees(e.num), den]
+    else:
+        parts = [degrees(part) for part in (e.terms if isinstance(e, Sum) else e.factors)]
+    is_sum = isinstance(e, Sum)
+    out = {}
+    for i in set().union(*parts):
+        p = q = f = 0
+        for part in parts:
+            p2, q2, f2 = part.get(i, (0, 0, 0))
+            p = max(p + q2, p2 + q) if is_sum else p + p2
+            q, f = q + q2, max(f, f2)
+        out[i] = (p, q, f)
     return out
 
 

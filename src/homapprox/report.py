@@ -302,6 +302,46 @@ def _poly_system_dict(psys: PolynomialSystem) -> dict:
 
 
 def render_json(result: ApproximationResult, mode: str = "both", verification=None) -> str:
-    return json.dumps(
-        result_to_dict(result, mode, verification), indent=2, sort_keys=True
-    )
+    """result_to_dict's output as json.dumps(..., indent=2, sort_keys=True)
+    writes it, byte for byte, without json's pure-Python indent encoder."""
+    out: list = []
+    _emit(result_to_dict(result, mode, verification), "", out)
+    return "".join(out)
+
+
+# the scalar types written without json.dumps: a str by the C routine that
+# ensure_ascii=True uses, an int (not a bool) by int's own repr
+_string = json.encoder.encode_basestring_ascii
+_SCALARS = {str: _string, int: int.__repr__}
+
+
+def _emit(v, indent: str, out: list) -> None:
+    """Append the text of v, nested at `indent`, as json.dumps(v, indent=2,
+    sort_keys=True) writes it.  Dict keys must be str.  A tuple is written
+    as a list, as json.dumps writes it (result_to_dict makes none).  Floats
+    (NaN and Infinity too), bools and None go through json.dumps."""
+    encode = _SCALARS.get(type(v))
+    if encode is not None:
+        out.append(encode(v))
+    elif not isinstance(v, (dict, list, tuple)):
+        out.append(json.dumps(v))
+    elif not v:
+        out.append("{}" if isinstance(v, dict) else "[]")
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(v, dict):
+            for k, key in enumerate(sorted(v)):
+                out.append(("{\n" + inner if k == 0 else sep) + _string(key) + ": ")
+                _emit(v[key], inner, out)
+            out.append("\n" + indent + "}")
+            return
+        kinds = set(map(type, v))
+        encode = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if encode is not None:  # words, x_powers and coefficient vectors
+            out.append("[\n" + inner + sep.join(map(encode, v)))
+        else:
+            for k, item in enumerate(v):
+                out.append("[\n" + inner if k == 0 else sep)
+                _emit(item, inner, out)
+        out.append("\n" + indent + "]")

@@ -51,12 +51,16 @@ def system_from_strings(n: int, a_strs, b_strs) -> ControlSystem:
 def certify_drift(name: str, ai, n: int) -> None:
     """Require the drift component `name` = ai to vanish at x = 0: by
     simplification to 0, else by d + 1 exact zeros among the first
-    ex.MAX_SAMPLES times, d = `ex.degrees` of a(t,0) in t, poles skipped.
+    ex.MAX_SAMPLES times, poles skipped, where d is the larger of the
+    numerator bounds p and f that `ex.degrees` gives a(t,0) in t.
     Proof: at those times every subtree is defined and each sin/cos/exp
-    argument, of bound <= d, is 0, so innermost first each is identically
-    0; then a(t,0) = P/Q, deg P <= d, Q != 0 at d + 1 zeros of P: P = 0."""
+    argument is 0.  Innermost first, such an argument is P/Q with deg P
+    <= f <= d once the functions inside it are constants, and Q != 0 at
+    d + 1 zeros of P, so P = 0 and the function is a constant too.  Then
+    a(t,0) = P/Q with deg P <= p <= d, and the same argument gives P = 0."""
     at0 = ex.substitute(ai, dict.fromkeys(range(1, n + 1), ex.ZERO))
-    needed = 0 if at0 == ex.ZERO else ex.degrees(at0).get(0, 0) + 1
+    p, _, f = ex.degrees(at0).get(0, (0, 0, 0))
+    needed = 0 if at0 == ex.ZERO else max(p, f) + 1
     for k in range(1, ex.MAX_SAMPLES + 1):
         if not needed:
             return

@@ -504,6 +504,16 @@ def test_main_equilibrium_violation(tmp_path, capsys):
 VANISHING_AT_OLD_SAMPLES = "*".join(f"(49*t^2 - {k * k})" for k in range(1, 11))
 
 
+def _product_minus_expansion(k: int) -> str:
+    """(t - 1)*...*(t - k) minus its expansion: identically 0, though it
+    does not simplify to 0."""
+    c = [1]  # coefficients in ascending powers of t
+    for j in range(1, k + 1):
+        c = [a - j * b for a, b in zip([0] + c, c + [0])]
+    product = "*".join(f"(t - {j})" for j in range(1, k + 1))
+    return product + " - (" + " + ".join(f"({v})*t^{i}" for i, v in enumerate(c)) + ")"
+
+
 @pytest.mark.parametrize(
     "a1, code, first_line",
     [
@@ -523,6 +533,10 @@ VANISHING_AT_OLD_SAMPLES = "*".join(f"(49*t^2 - {k * k})" for k in range(1, 11))
         ),
         # a(t,0) = 0/(1 - 7*t) is identically 0; the pole at t = 1/7 does not count
         ("x1/(1 - 7*t)", EXIT_OK, ""),
+        # a sum's numerator bound is its terms' largest, k, so k + 1 zeros
+        # certify it, far below the cap of 256 times
+        pytest.param(f"x1 + {_product_minus_expansion(21)}", EXIT_OK, "", id="expansion21"),
+        pytest.param(f"x1 + {_product_minus_expansion(22)}", EXIT_OK, "", id="expansion22"),
     ],
 )
 def test_main_certifies_the_drift_from_its_degree_bound(tmp_path, capsys, a1, code, first_line):

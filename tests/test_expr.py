@@ -408,13 +408,13 @@ def test_substitute_zeroes_states_at_once_property(rng):
     assert ex.substitute(e, {1: ex.ZERO, 2: ex.ZERO, 3: ex.ZERO}) == one_at_a_time
 
 
-def _variables(e: ex.Expr) -> set:
-    """The indices of the variables in the tree, by its fields."""
-    if isinstance(e, ex.Var):
-        return {e.index}
-    parts = [v for v in e._values() if isinstance(v, ex.Expr)]
-    parts += [p for v in e._values() if isinstance(v, tuple) for p in v]
-    return set().union(*map(_variables, parts))
+def _subtrees(e: ex.Expr):
+    """e and every node below it, by the tree's fields."""
+    yield e
+    for v in e._values():
+        for part in v if isinstance(v, tuple) else (v,):
+            if isinstance(part, ex.Expr):
+                yield from _subtrees(part)
 
 
 def _to_sympy(sympy, e: ex.Expr, funcs: dict):
@@ -437,18 +437,28 @@ def _to_sympy(sympy, e: ex.Expr, funcs: dict):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_degrees_bound_numerator_and_denominator_property(rng):
     # the keys are the variables read, and with each function taken for a
-    # constant every bound is at least the degree of the numerator and of the
-    # denominator that sympy's together gives
+    # constant, p and q bound the degrees of the numerator and of the
+    # denominator that sympy's together gives, and f bounds the numerator
+    # degree of every function argument
     sympy = pytest.importorskip("sympy")
     text, raw = random_expr(rng, 4)
     for e in (raw, ex.parse_expr(text, 3)):
         bounds = ex.degrees(e)
-        assert set(bounds) == _variables(e)
-        num, den = sympy.fraction(sympy.together(_to_sympy(sympy, e, {})))
+        nodes = list(_subtrees(e))
+        assert set(bounds) == {v.index for v in nodes if isinstance(v, ex.Var)}
+        funcs: dict = {}
+
+        def fraction(x):
+            return sympy.fraction(sympy.together(_to_sympy(sympy, x, funcs)))
+
+        num, den = fraction(e)
+        args = [fraction(f.arg)[0] for f in nodes if isinstance(f, ex.Func)]
         for i in range(4):
             v = sympy.Symbol(f"v{i}")
-            assert sympy.degree(num, v) <= bounds.get(i, 0), (text, i)
-            assert sympy.degree(den, v) <= bounds.get(i, 0), (text, i)
+            p, q, f = bounds.get(i, (0, 0, 0))
+            assert sympy.degree(num, v) <= p, (text, i)
+            assert sympy.degree(den, v) <= q, (text, i)
+            assert all(sympy.degree(a, v) <= f for a in args), (text, i)
 
 
 def test_substitute_rebuilds_through_the_constructors():
